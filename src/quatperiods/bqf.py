@@ -8,8 +8,11 @@ group law is classical Gauss/Dirichlet composition followed by reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
+import sympy
+
+from .charfield import group_elements
 from .linalg import mat_inv_frac, snf
 
 
@@ -30,14 +33,7 @@ def is_fundamental(D: int) -> bool:
 
 
 def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
+    return all(e == 1 for e in sympy.factorint(n).values())
 
 
 def check_fundamental(D: int) -> None:
@@ -198,31 +194,14 @@ class ClassGroup:
 
     def elements(self):
         """All exponent vectors, in lexicographic order."""
-        def rec(i):
-            if i == len(self.factors):
-                yield ()
-                return
-            for e in range(self.factors[i][1]):
-                for rest in rec(i + 1):
-                    yield (e,) + rest
-        return list(rec(0))
+        return group_elements(self.orders)
 
 
 def _element_order(f: QuadForm, h: int) -> int:
     """Order of a class, via the factorization of the group order."""
     order = h
-    m = h
-    d = 2
-    fac = {}
-    while d * d <= m:
-        while m % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        fac[m] = fac.get(m, 0) + 1
     ident = principal_form(f.disc)
-    for p in fac:
+    for p in sympy.factorint(h):
         while order % p == 0 and form_pow(f, order // p) == ident:
             order //= p
     return order
@@ -300,10 +279,7 @@ def class_group_structure(D: int) -> ClassGroup:
 
 
 def _verify_structure(cg: ClassGroup) -> None:
-    prod = 1
-    for _, n in cg.factors:
-        prod *= n
-    if prod != cg.h:
+    if prod(cg.orders) != cg.h:
         raise ArithmeticError("invariant factor product mismatch")
     seen = set(cg.dlog.values())
     if len(seen) != cg.h:
@@ -311,8 +287,3 @@ def _verify_structure(cg: ClassGroup) -> None:
     for f in cg.forms:
         if cg.decode(cg.dlog[f]) != f:
             raise ArithmeticError("encode/decode roundtrip failed")
-
-
-def ideal_basis(f: QuadForm) -> tuple[int, int]:
-    """Integral ideal (a, (-b + sqrt(D))/2) attached to a form; returns (a, -b)."""
-    return (f.a, -f.b)

@@ -4,15 +4,21 @@ Layout: <root>/q<q>/classes.json holds the right-ideal classes, weights,
 and left orders; <root>/q<q>/brandt_<n>.json holds one Brandt matrix.
 Integers that may not fit in 64 bits are stored as decimal strings so the
 files stay portable across JSON readers. A lock file in each per-prime
-directory keeps the cache single-writer; readers never take the lock.
+directory keeps the cache single-writer; readers never take the lock. The
+lock holds the writer's pid, and a lock whose pid no longer exists (its
+writer was killed) is broken and taken over. Class data read back is
+checked against the Eichler mass formula before it is trusted; data that
+fails is recomputed and rewritten, with a note on stderr.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from fractions import Fraction
 
 from .quatalg import (
     Lattice,
@@ -48,6 +54,22 @@ class CacheBusy(RuntimeError):
     """Another process holds the writer lock for this cache directory."""
 
 
+def _holder_is_dead(lock: str) -> bool:
+    """True when the lock file names a process that no longer exists."""
+    try:
+        with open(lock) as fh:
+            pid = int(fh.read())
+    except (OSError, ValueError):
+        return False        # gone already, or its pid is not written yet
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass                # alive, owned by another user
+    return False
+
+
 class Cache:
     def __init__(self, root: str):
         self.root = root
@@ -68,8 +90,15 @@ class Cache:
                 fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                 break
             except FileExistsError:
+                if _holder_is_dead(lock):
+                    # two writers that find the same stale lock at once
+                    # may both go ahead: breaking it is not atomic
+                    with suppress(FileNotFoundError):
+                        os.unlink(lock)
+                    continue
                 if time.monotonic() >= deadline:
-                    raise CacheBusy(f"writer lock busy: {lock}")
+                    raise CacheBusy(
+                        f"another process holds the writer lock {lock}")
                 time.sleep(0.05)
         try:
             os.write(fd, str(os.getpid()).encode())
@@ -79,11 +108,14 @@ class Cache:
             os.unlink(lock)
 
     def load(self, q: int, name: str):
+        path = self.path(q, name)
         try:
-            with open(self.path(q, name)) as fh:
+            with open(path) as fh:
                 return json.load(fh)
         except FileNotFoundError:
             return None
+        except ValueError as err:
+            raise ValueError(f"corrupt cache file {path}: {err}") from None
 
     def store(self, q: int, name: str, payload: dict):
         with self.writer_lock(q):
@@ -118,11 +150,27 @@ def shimura_from_payload(payload: dict) -> ShimuraSet:
 def get_shimura_set(cache: Cache, q: int) -> ShimuraSet:
     payload = cache.load(q, "classes.json")
     if payload is not None:
-        return shimura_from_payload(payload)
+        X = shimura_from_payload(payload)
+        problem = _shimura_problem(X, q)
+        if not problem:
+            return X
+        print(f"cache: {cache.path(q, 'classes.json')} {problem}; "
+              "recomputing", file=sys.stderr)
     alg = build_algebra(q)
     X = right_ideal_classes(maximal_order(alg), alg)
     cache.store(q, "classes.json", shimura_payload(X))
     return X
+
+
+def _shimura_problem(X: ShimuraSet, q: int) -> str:
+    """Why cached class data cannot be trusted, or "" when it checks out."""
+    if X.alg.q != q:
+        return f"holds the classes for q = {X.alg.q}"
+    if not len(X.classes) == len(X.weights) == len(X.left_orders):
+        return "has lists of different lengths"
+    if any(w < 1 for w in X.weights) or X.mass() != Fraction(q - 1, 24):
+        return "fails the mass formula"
+    return ""
 
 
 def get_brandt(cache: Cache, X: ShimuraSet, n: int):

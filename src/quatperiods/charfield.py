@@ -4,14 +4,16 @@ finite-field realizations.
 A character of a group with invariant factors n_1 | ... | n_d is an exponent
 vector; its values live in Z[zeta_n] for n = n_d and, after reducing through
 a deterministic embedding into the field of size p^k (k the order of p mod
-n), in that finite field. The module also provides the discrete Fourier
-transform over the finite field, Galois orbits of characters under
-chi -> chi^q0, and the stable-generating-set machinery for Galois-stable
-subsets of the dual group.
+n), in that finite field. The module also provides the enumeration of
+a finite abelian group and its subgroup closure, Galois orbits of
+characters under chi -> chi^q0, and the stable-generating-set machinery
+for Galois-stable subsets of the dual group.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -116,7 +118,8 @@ class FiniteField:
     def __init__(self, p: int, modulus: tuple):
         self.p = p
         self.modulus = tuple(c % p for c in modulus)
-        assert self.modulus[-1] == 1, "modulus must be monic"
+        if self.modulus[-1] != 1:
+            raise ValueError("modulus must be monic")
         self.k = len(modulus) - 1
         self.zero = (0,) * self.k
         self.one = ((1,) + (0,) * (self.k - 1)) if self.k else ()
@@ -137,10 +140,6 @@ class FiniteField:
     def sub(self, a: tuple, b: tuple) -> tuple:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        p = self.p
-        return tuple((-x) % p for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         p, k, mod = self.p, self.k, self.modulus
@@ -225,9 +224,6 @@ class FieldEmbedding:
                 acc = F.add(acc, F.mul(F.element(coeff), zp))
         return acc
 
-    def reduce_int(self, c: int) -> tuple:
-        return self.field.element(c)
-
 
 @lru_cache(maxsize=None)
 def _smallest_cyclotomic_factor(p: int, n: int, k: int) -> tuple:
@@ -298,17 +294,32 @@ def character_group(orders) -> list:
     sequence of invariant factors.
     """
     orders = tuple(getattr(orders, "orders", orders))
-    chars = []
+    return [Character(e, orders) for e in group_elements(orders)]
 
-    def rec(i, acc):
-        if i == len(orders):
-            chars.append(Character(tuple(acc), orders))
-            return
-        for e in range(orders[i]):
-            rec(i + 1, acc + [e])
 
-    rec(0, [])
-    return chars
+def group_elements(orders) -> list:
+    """All exponent vectors of the group with invariant factors `orders`,
+    in lexicographic order."""
+    return list(itertools.product(*map(range, orders)))
+
+
+def subgroup_closure(base: frozenset, gens, orders) -> frozenset:
+    """The subgroup generated by the subgroup `base` and the elements `gens`.
+
+    `base` must already be closed, so only sums involving a new element
+    can leave it: the frontier starts from the new elements alone.
+    """
+    out = set(base)
+    frontier = [g for g in gens if g not in out]
+    out.update(frontier)
+    while frontier:
+        g = frontier.pop()
+        for e in list(out):
+            s = tuple((a + b) % n for a, b, n in zip(g, e, orders))
+            if s not in out:
+                out.add(s)
+                frontier.append(s)
+    return frozenset(out)
 
 
 def eval_char(chi: Character, sigma: tuple, emb: FieldEmbedding):
@@ -319,52 +330,6 @@ def eval_char(chi: Character, sigma: tuple, emb: FieldEmbedding):
     t = chi.pairing_exponent(sigma)
     exact = CycloInt.zeta_power(n, t)
     return exact, emb.field.pow(emb.zeta_image, t)
-
-
-def fourier(fvals: dict, G, emb: FieldEmbedding) -> dict:
-    """Transform sigma -> f(sigma) into chi -> h^{-1} sum chi(sigma)^{-1} f(sigma).
-
-    fvals maps every exponent vector of G to a field element of emb.field;
-    requires p coprime to |G| so the 1/h prefactor exists in the field.
-    """
-    orders = tuple(getattr(G, "orders", G))
-    h = 1
-    for n in orders:
-        h *= n
-    if h % emb.p == 0:
-        raise ValueError("p divides the group order")
-    F = emb.field
-    hinv = F.inv(F.element(h))
-    out = {}
-    for chi in character_group(orders):
-        acc = F.zero
-        chinv = chi.inverse()
-        for sigma, val in fvals.items():
-            _, c = eval_char(chinv, sigma, emb)
-            acc = F.add(acc, F.mul(c, val))
-        out[chi] = F.mul(hinv, acc)
-    return out
-
-
-def inverse_fourier(pvals: dict, G, emb: FieldEmbedding) -> dict:
-    """Recover sigma -> f(sigma) = sum_chi P(chi) chi(sigma)."""
-    orders = tuple(getattr(G, "orders", G))
-    F = emb.field
-    out = {}
-    for sigma in _group_elements(orders):
-        acc = F.zero
-        for chi, val in pvals.items():
-            _, c = eval_char(chi, sigma, emb)
-            acc = F.add(acc, F.mul(c, val))
-        out[sigma] = acc
-    return out
-
-
-def _group_elements(orders):
-    if not orders:
-        return [()]
-    rest = _group_elements(orders[1:])
-    return [(e,) + r for e in range(orders[0]) for r in rest]
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +453,7 @@ def min_stable_generating_set(divisors, q: int, bound: int = 64):
     the total cardinality.
     """
     divisors = tuple(n for n in divisors if n > 1)
-    size = 1
-    for n in divisors:
-        size *= n
+    size = math.prod(divisors)
     if size > bound:
         raise ValueError(f"group order {size} exceeds bound {bound}")
     if size == 1:
@@ -500,23 +463,6 @@ def min_stable_generating_set(divisors, q: int, bound: int = 64):
               if not (len(o) == 1 and o[0].is_trivial())]
     orbits.sort(key=len)
     full = frozenset(c.exponents for c in chars)
-
-    def closure(base: frozenset, orbit) -> frozenset:
-        new = set(base)
-        frontier = []
-        for chi in orbit:
-            if chi.exponents not in new:
-                new.add(chi.exponents)
-                frontier.append(chi.exponents)
-        while frontier:
-            g = frontier.pop()
-            for e in list(new):
-                s = tuple((a + b) % n for a, b, n in zip(g, e, divisors))
-                if s not in new:
-                    new.add(s)
-                    frontier.append(s)
-        return frozenset(new)
-
     ident = frozenset({tuple(0 for _ in divisors)})
     suffix_sizes = [0] * (len(orbits) + 1)
     for i in range(len(orbits) - 1, -1, -1):
@@ -529,7 +475,8 @@ def min_stable_generating_set(divisors, q: int, bound: int = 64):
             return None
         # take orbit i (only if it can fit and enlarges the subgroup)
         if len(orbits[i]) <= budget:
-            bigger = closure(sub, orbits[i])
+            bigger = subgroup_closure(
+                sub, [chi.exponents for chi in orbits[i]], divisors)
             if len(bigger) > len(sub):
                 chosen.append(i)
                 found = dfs(i + 1, budget - len(orbits[i]), bigger, chosen)

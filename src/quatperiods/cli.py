@@ -8,8 +8,9 @@ Options may come from a flat config file of `key = value` lines (with #
 comments); command-line flags override config values, and the TPL_CACHE
 environment variable overrides both for the cache directory.
 
-Exit codes: 0 success, 1 configuration error, 2 precondition violation
-(inputs outside the supported range), 3 certification failure (an internal
+Exit codes: 0 success, 1 configuration error or a cache locked by a running
+writer, 2 precondition violation (inputs outside the supported range, or a
+cache file that is not valid JSON), 3 certification failure (an internal
 exactness check did not hold).
 """
 
@@ -18,11 +19,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
 from .bqf import class_group_structure, is_fundamental
-from .cache import Cache, get_brandt, get_shimura_set, resolve_cache_dir
+from .cache import (Cache, CacheBusy, get_brandt, get_shimura_set,
+                    resolve_cache_dir)
 from .charfield import (
     min_stable_generating_set,
     stable_generation_lower_bound,
@@ -198,10 +201,7 @@ def cmd_stability(args, config):
     q = setting(args, config, "q")
     out = {"orders": list(orders), "q": q,
            "lower_bound": stable_generation_lower_bound(orders, q)}
-    size = 1
-    for n in orders:
-        size *= n
-    if size <= args.witness_bound:
+    if math.prod(orders) <= args.witness_bound:
         m, witness = min_stable_generating_set(orders, q, args.witness_bound)
         out["minimum"] = m
         out["witness"] = [list(w) for w in witness]
@@ -314,6 +314,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except CacheBusy as err:
+        print(f"cache busy: {err}", file=sys.stderr)
         return 1
     except (PreconditionError, ValueError) as err:
         print(f"precondition violated: {err}", file=sys.stderr)

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .bqf import QuadForm, check_fundamental
+from .bqf import QuadForm, _xgcd, check_fundamental
 from .curves import kronecker
-from .linalg import mat_inv_frac, qf_solutions
+from .linalg import left_kernel, mat_inv_frac, qf_solutions
 from .quatalg import Lattice, QuaternionAlgebra, ShimuraSet
 
 
@@ -100,7 +101,8 @@ def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
         c = [c0[i] + sum(y[r] * K[r][i] for r in range(3)) for i in range(4)]
         omega = tuple(sum(Fraction(c[s]) * vs[s][idx] for s in range(4))
                       for idx in range(4))
-        assert alg.trd(omega) == t and alg.nrd(omega) == n
+        if alg.trd(omega) != t or alg.nrd(omega) != n:
+            raise ArithmeticError("candidate has the wrong trace or norm")
         out.append(omega)
     if not out:
         raise ArithmeticError("order contains no element with the target "
@@ -111,15 +113,10 @@ def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
 def _particular_trace_solution(traces, t: int):
     """Integer c with sum c_s * traces_s = t (traces are integers here)."""
     ints = [int(f) for f in traces]
-    from math import gcd
-
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     if t % g:
         raise ArithmeticError("trace slice is empty")
     # extended gcd over the 4 coefficients
-    coeffs = [0, 0, 0, 0]
     acc = 0
     acc_coeffs = [0, 0, 0, 0]
     for idx, x in enumerate(ints):
@@ -130,24 +127,8 @@ def _particular_trace_solution(traces, t: int):
     return [c * scale for c in acc_coeffs]
 
 
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _trace_kernel(traces):
     """Rank-3 integer kernel of the trace linear form."""
-    from .linalg import left_kernel
-
     ints = [[int(f)] for f in traces]
     k = left_kernel(ints)
     if len(k) != 3:

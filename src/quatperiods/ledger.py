@@ -15,17 +15,7 @@ from math import gcd
 import sympy
 
 from .curves import EllipticCurveData, ap, kronecker
-from .quatalg import ShimuraSet, tau_permutation
-
-
-def _vp(p: int, n: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .quatalg import ShimuraSet, _vp, tau_permutation
 
 
 def excluded_primes(curve: EllipticCurveData) -> set:
@@ -39,14 +29,8 @@ def excluded_primes(curve: EllipticCurveData) -> set:
 
 def ideal_I_gcd(curve: EllipticCurveData, bound: int) -> int:
     """gcd of ell + 1 - a_ell over good primes ell <= bound."""
-    if bound < 3:
-        raise ValueError("bound must allow at least one good prime")
-    g = 0
-    for ell in sympy.primerange(2, bound + 1):
-        if curve.N % ell == 0:
-            continue
-        g = gcd(g, ell + 1 - ap(curve, ell))
-    return g
+    profile = ideal_I_profile(curve, bound)
+    return profile[-1][1] if profile else 0
 
 
 def ideal_I_profile(curve: EllipticCurveData, bound: int):
@@ -67,7 +51,7 @@ def kolyvagin_exponent(C2: int, C4: int, C5: int, C6: int, C7: int, C8: int,
                        p: int = 2, I: int = 1, hK: int = 1) -> int:
     """3 C2 + 12 C4 + C5 + C6 + C7 + C8 + v_p(I hK) + v_p(hK)."""
     return (3 * C2 + 12 * C4 + C5 + C6 + C7 + C8
-            + _vp(p, I * hK) + _vp(p, hK))
+            + _vp(I * hK, p) + _vp(hK, p))
 
 
 def sha_exponent(ord_pairing: int, local_orders) -> int:

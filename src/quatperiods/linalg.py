@@ -78,10 +78,6 @@ def hnf_solve(basis, v):
     return coeffs
 
 
-def in_lattice(basis, v):
-    return hnf_solve(basis, v) is not None
-
-
 def left_kernel(rows):
     """Integer basis of {x : x * M = 0} for an integer matrix M (list of rows)."""
     n = len(rows)
@@ -182,12 +178,6 @@ def snf(A):
         if D[i + 1][i + 1] < 0:
             addmul_row(i + 1, i + 1, -2)
     return D, U, V
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
 
 
 def mat_inv_frac(A):

@@ -24,6 +24,8 @@ from .charfield import (
     _reduce_poly,
     character_group,
     galois_orbits,
+    group_elements,
+    subgroup_closure,
 )
 from .curves import kronecker
 from .embeddings import optimal_embedding, phi_map
@@ -45,7 +47,8 @@ class ToricPeriod:
     vzero: bool              # True when the reduction is a unit
 
     def __post_init__(self):
-        assert self.vzero == (self.modp != tuple([0] * len(self.modp)))
+        if self.vzero != (self.modp != tuple([0] * len(self.modp))):
+            raise ArithmeticError("vzero disagrees with the reduction")
 
 
 def toric_period(f: Eigenform, phi: dict, chi: Character,
@@ -63,13 +66,7 @@ def toric_period(f: Eigenform, phi: dict, chi: Character,
         cyc[chinv.pairing_exponent(sigma)] += f.coords[idx]
     exact = CycloInt(n, _reduce_poly(cyc, n))
     F = emb.field
-    acc = F.zero
-    zp = F.one
-    for e in range(n):
-        if cyc[e] % emb.p:
-            acc = F.add(acc, F.mul(F.element(cyc[e]), zp))
-        zp = F.mul(zp, emb.zeta_image)
-    modp = F.mul(acc, F.inv(F.element(h)))
+    modp = F.mul(emb.reduce(exact), F.inv(F.element(h)))
     return ToricPeriod(chi, exact, modp, modp != F.zero)
 
 
@@ -89,17 +86,6 @@ class ScanRow:
         return self.reason == ""
 
 
-def galois_base_size(f: Eigenform, p: int) -> int:
-    """Size of the subfield generated by the mod-p values of the eigenform.
-
-    The coordinates are rational integers, so the subfield is the prime
-    field and the answer is p; kept as a function so the provenance of q0
-    is explicit at call sites.
-    """
-    assert all(isinstance(c, int) for c in f.coords)
-    return p
-
-
 class PeriodPipeline:
     """Fixed (q, curve, p): Shimura set, eigenform, and per-D period rows."""
 
@@ -110,11 +96,11 @@ class PeriodPipeline:
         if X is None:
             alg = build_algebra(self.q)
             X = right_ideal_classes(maximal_order(alg), alg)
-        self.alg = X.alg
-        self.order = X.order
         self.X = X
         self.f = eigenform(self.X, curve, p, primes)
-        self.q0 = galois_base_size(self.f, p)
+        # the eigenform has rational integer coordinates, so its mod-p
+        # values generate the prime field
+        self.q0 = p
 
     def skip_reason(self, D: int) -> str:
         if not is_fundamental(D):
@@ -261,42 +247,21 @@ def dual_subgroups_upto(orders, bound: int):
         for chi in chars:
             if chi.exponents in sub:
                 continue
-            new = _subgroup_closure(sub | {chi.exponents}, orders)
+            new = subgroup_closure(sub, [chi.exponents], orders)
             if len(new) <= bound and new not in found:
                 found.add(new)
                 frontier.append(new)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def _subgroup_closure(gens, orders):
-    out = set(gens)
-    out.add(tuple(0 for _ in orders))
-    frontier = list(out)
-    while frontier:
-        g = frontier.pop()
-        for e in list(out):
-            s = tuple((a + b) % n for a, b, n in zip(g, e, orders))
-            if s not in out:
-                out.add(s)
-                frontier.append(s)
-    return frozenset(out)
-
-
 def annihilated_subgroup(dual_sub, orders):
     """{sigma : chi(sigma) = 1 for all chi in the dual subgroup}."""
     out = set()
-    for sigma in _all_elements(orders):
+    for sigma in group_elements(orders):
         if all(Character(chi, tuple(orders)).pairing_exponent(sigma) == 0
                for chi in dual_sub):
             out.add(sigma)
     return out
-
-
-def _all_elements(orders):
-    if not orders:
-        return [()]
-    rest = _all_elements(orders[1:])
-    return [(e,) + r for e in range(orders[0]) for r in rest]
 
 
 @dataclass

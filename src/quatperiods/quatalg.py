@@ -77,6 +77,9 @@ class QuaternionAlgebra:
 
 
 def _vp(n: int, p: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of zero")
     v = 0
     while n % p == 0:
         n //= p
@@ -174,11 +177,7 @@ class Lattice:
         return [tuple(Fraction(x, self.den) for x in r) for r in self.rows]
 
     def contains(self, vec) -> bool:
-        scaled = [Fraction(x) * self.den for x in vec]
-        if any(f.denominator != 1 for f in scaled):
-            return False
-        return hnf_solve([list(r) for r in self.rows],
-                         [int(f) for f in scaled]) is not None
+        return self.coordinates(vec) is not None
 
     def coordinates(self, vec):
         scaled = [Fraction(x) * self.den for x in vec]
@@ -386,7 +385,8 @@ def _two_neighbors(I: Lattice, O: Lattice, alg: QuaternionAlgebra):
              for s in range(4)]
         Mint = []
         for row in M:
-            assert all(f.denominator == 1 for f in row)
+            if any(f.denominator != 1 for f in row):
+                raise ArithmeticError("order does not act on I/2I")
             Mint.append([int(f) % 2 for f in row])
         mats.append(Mint)
 
@@ -457,20 +457,7 @@ def right_ideal_classes(O: Lattice, alg: QuaternionAlgebra) -> ShimuraSet:
 
 def brandt_matrix(X: ShimuraSet, n: int):
     """B(n)_ij = (1/2w_j) #{x in I_i conj(I_j) : nrd(x) = n nrd(I_i) nrd(I_j)}."""
-    alg = X.alg
-    H = X.H
-    out = [[0] * H for _ in range(H)]
-    for i in range(H):
-        for j in range(H):
-            P = X.classes[i].product(X.classes[j].conjugate(), alg)
-            target = n * X.classes[i].norm(alg) * X.classes[j].norm(alg)
-            cnt = len([s for s in qf_solutions(P.gram(alg), target)
-                       if any(s)])
-            w2 = 2 * X.weights[j]
-            if cnt % w2:
-                raise ArithmeticError("Brandt count not divisible by 2w")
-            out[i][j] = cnt // w2
-    return out
+    return brandt_family(X, n)[n]
 
 
 def brandt_family(X: ShimuraSet, nmax: int) -> dict:
@@ -522,12 +509,13 @@ def eigenform(X: ShimuraSet, curve, p: int, primes=(2, 3, 5, 7, 13)) -> Eigenfor
     H = X.H
     eigs = {}
     stacked = []
+    Bs = brandt_family(X, max(primes))
     for ell in primes:
         if ell == X.alg.q:
             continue
         a = ap(curve, ell)
         eigs[ell] = a
-        B = brandt_matrix(X, ell)
+        B = Bs[ell]
         for i in range(H):
             stacked.append([B[i][c] - (a if i == c else 0) for c in range(H)])
     # solve stacked . v = 0: v spans the left kernel of the transpose
@@ -538,17 +526,12 @@ def eigenform(X: ShimuraSet, curve, p: int, primes=(2, 3, 5, 7, 13)) -> Eigenfor
         raise ArithmeticError(
             f"eigenspace dimension {len(kernel)}, expected 1")
     v = list(kernel[0])
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     v = [x // g for x in v]
     first = next(x for x in v if x)
     if first < 0:
         v = [-x for x in v]
-    content = 0
-    for x in v:
-        content = gcd(content, x)
-    if content % p == 0:
+    if gcd(*v) % p == 0:
         raise ArithmeticError("eigenvector content divisible by p")
     cusp = sum(Fraction(x, w) for x, w in zip(v, X.weights))
     if cusp != 0:

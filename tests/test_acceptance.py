@@ -86,7 +86,7 @@ def test_criterion_01_class_groups():
             seen = set()
             for s in elements:
                 f = cg.decode(s)
-                assert f.disc == D and f.is_reduced
+                assert f.disc == D and f.is_reduced()
                 assert cg.encode(f) == s
                 seen.add(f)
             assert len(seen) == cg.h

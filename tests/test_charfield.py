@@ -1,6 +1,7 @@
 """Tests for cyclotomic integers, deterministic finite-field embeddings,
-characters, the finite-field Fourier transform, Galois orbits, and the
-stable-generating-set bound with its exhaustive oracle."""
+characters, the character transform of the period module (forward:
+toric_period, inverse: PeriodPipeline._fourier_check), Galois orbits, and
+the stable-generating-set bound with its exhaustive oracle."""
 
 import random
 from fractions import Fraction
@@ -13,13 +14,13 @@ from quatperiods.charfield import (
     Character,
     CycloInt,
     FieldEmbedding,
+    FiniteField,
     character_group,
     cyclotomic_coeffs,
     eval_char,
     euler_phi,
-    fourier,
     galois_orbits,
-    inverse_fourier,
+    group_elements,
     min_stable_generating_set,
     min_stable_generating_size,
     primary_divisors,
@@ -27,7 +28,25 @@ from quatperiods.charfield import (
     stability_bound_weak,
     stable_generation_lower_bound,
 )
-from quatperiods.charfield import _group_elements
+from quatperiods.periods import PeriodPipeline, toric_period
+from quatperiods.quatalg import Eigenform
+
+
+def form(coords):
+    return Eigenform(tuple(coords), {}, (1,) * len(coords))
+
+
+def periods_of(coords, phi, orders, emb):
+    """chi -> P(chi) for the function sigma -> coords[phi[sigma]]."""
+    return {chi: toric_period(form(coords), phi, chi, emb)
+            for chi in character_group(orders)}
+
+
+def fourier_check(coords, pers, phi, emb):
+    """Run the inverse transform of the period pipeline on bare data."""
+    pipe = PeriodPipeline.__new__(PeriodPipeline)
+    pipe.f = form(coords)
+    pipe._fourier_check(pers, phi, emb)
 
 
 def random_cyclo(rng, n):
@@ -132,19 +151,19 @@ def test_eval_char_trivial_and_homomorphism():
 
 def test_fourier_orthogonality_constant():
     emb = FieldEmbedding(7, 3)
-    f = {(s,): emb.field.element(4) for s in range(3)}
-    P = fourier(f, (3,), emb)
+    P = periods_of([4], {(s,): 0 for s in range(3)}, (3,), emb)
+    assert len(P) == 3
     for chi, v in P.items():
-        assert v == (emb.field.element(4) if chi.is_trivial() else emb.field.zero)
+        assert v.modp == (emb.field.element(4) if chi.is_trivial()
+                          else emb.field.zero)
 
 
 def test_fourier_indicator():
     # indicator of the identity on Z/3 transforms to the constant 1/3
     emb = FieldEmbedding(7, 3)
-    f = {(0,): emb.field.one, (1,): emb.field.zero, (2,): emb.field.zero}
-    P = fourier(f, (3,), emb)
+    P = periods_of([1, 0], {(0,): 0, (1,): 1, (2,): 1}, (3,), emb)
     third = emb.field.inv(emb.field.element(3))
-    assert all(v == third for v in P.values())
+    assert len(P) == 3 and all(v.modp == third for v in P.values())
 
 
 def test_fourier_roundtrip_random():
@@ -162,17 +181,30 @@ def test_fourier_roundtrip_random():
             continue
         trials += 1
         emb = FieldEmbedding(p, lev)
-        F = emb.field
-        f = {s: tuple(rng.randrange(p) for _ in range(F.k))
-             for s in _group_elements(orders)}
-        assert inverse_fourier(fourier(f, orders, emb), orders, emb) == f
+        coords = [rng.randrange(-50, 50) for _ in range(4)]
+        phi = {s: rng.randrange(4) for s in group_elements(orders)}
+        pers = periods_of(coords, phi, orders, emb)
+        fourier_check(coords, pers, phi, emb)
+        # the inverse transform notices a single wrong period
+        chi = rng.choice(list(pers))
+        P = pers[chi]
+        bad = emb.field.add(P.modp, emb.field.one)
+        pers[chi] = type(P)(chi, P.exact, bad, bad != emb.field.zero)
+        with pytest.raises(ArithmeticError):
+            fourier_check(coords, pers, phi, emb)
 
 
 def test_fourier_rejects_p_dividing_h():
     emb = FieldEmbedding(3, 1)
-    f = {s: emb.field.one for s in _group_elements((3,))}
-    with pytest.raises(ValueError):
-        fourier(f, (3,), emb)
+    phi = {s: 0 for s in group_elements((3,))}
+    with pytest.raises(ValueError, match="p divides"):
+        periods_of([1], phi, (3,), emb)
+
+
+def test_finite_field_rejects_non_monic_modulus():
+    assert FiniteField(7, (1, 0, 1)).k == 2
+    with pytest.raises(ValueError, match="monic"):
+        FiniteField(7, (1, 0, 2))
 
 
 def test_galois_orbits_spec_examples():

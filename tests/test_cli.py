@@ -4,6 +4,8 @@ output on a warm cache."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -65,6 +67,70 @@ def test_writer_lock_exclusive(tmp_path):
                 pass
     with cache.writer_lock(11):  # released properly
         pass
+
+
+def dead_pid():
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
+
+
+def test_cli_breaks_stale_lock(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    (cache_dir / "q11").mkdir(parents=True)
+    lock = cache_dir / "q11" / ".lock"
+    lock.write_text(str(dead_pid()))
+    code = main(["shimura-set", "--q", "11", "--cache-dir", str(cache_dir)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["H"] == 2
+    assert (cache_dir / "q11" / "classes.json").exists()
+    assert not lock.exists()
+
+
+def test_cli_live_lock_holder_exits_1(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    (cache_dir / "q11").mkdir(parents=True)
+    (cache_dir / "q11" / ".lock").write_text(str(os.getpid()))
+    code = main(["shimura-set", "--q", "11", "--cache-dir", str(cache_dir)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cache busy: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def cached_classes(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    assert main(["shimura-set", "--q", "11",
+                 "--cache-dir", str(cache_dir)]) == 0
+    good = capsys.readouterr().out
+    return cache_dir, cache_dir / "q11" / "classes.json", good
+
+
+def test_cli_corrupt_cache_names_file(tmp_path, capsys):
+    cache_dir, path, _ = cached_classes(tmp_path, capsys)
+    path.write_text("{not json")
+    code = main(["shimura-set", "--q", "11", "--cache-dir", str(cache_dir)])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (lambda d: d.update(weights=[1, 1]), "mass formula"),
+    (lambda d: d["left_orders"].pop(), "different lengths"),
+])
+def test_cli_tampered_cache_is_recomputed(tmp_path, capsys, tamper, problem):
+    cache_dir, path, good = cached_classes(tmp_path, capsys)
+    original = path.read_text()
+    data = json.loads(original)
+    tamper(data)
+    path.write_text(json.dumps(data))
+    code = main(["shimura-set", "--q", "11", "--cache-dir", str(cache_dir)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == good
+    assert problem in captured.err and str(path) in captured.err
+    assert path.read_text() == original
 
 
 def test_cache_dir_precedence(tmp_path, monkeypatch):

@@ -1,8 +1,8 @@
 """Tests for toric periods, scan rows, and equidistribution statistics.
 
-The independent oracle for the period transform is the generic
-finite-field Fourier transform from the character module, fed with the
-raw special-point values; the two computations share no code path past
+The independent oracle for the period transform is a brute-force
+finite-field Fourier transform written here from eval_char, fed with the
+raw special-point values; it shares no code path with toric_period past
 the character-evaluation layer.
 """
 
@@ -13,14 +13,16 @@ import pytest
 
 from quatperiods.bqf import class_group_structure
 from quatperiods.charfield import (
+    CycloInt,
     FieldEmbedding,
     character_group,
-    fourier,
+    eval_char,
 )
 from quatperiods.curves import curve_11a1
 from quatperiods.embeddings import optimal_embedding, phi_map
 from quatperiods.periods import (
     PeriodPipeline,
+    ToricPeriod,
     annihilated_subgroup,
     dual_subgroups_upto,
     empirical_counts,
@@ -48,6 +50,20 @@ def random_phi(rng, orders, npoints):
     return {s: rng.randrange(npoints) for s in sigmas}
 
 
+def brute_fourier(fvals, orders, emb):
+    """chi -> h^{-1} sum_sigma chi(sigma)^{-1} f(sigma), term by term."""
+    F = emb.field
+    hinv = F.inv(F.element(len(fvals)))
+    out = {}
+    for chi in character_group(orders):
+        acc = F.zero
+        for sigma, val in fvals.items():
+            _, c = eval_char(chi.inverse(), sigma, emb)
+            acc = F.add(acc, F.mul(c, val))
+        out[chi] = F.mul(hinv, acc)
+    return out
+
+
 def test_period_matches_generic_fourier_transform():
     rng = random.Random(99)
     for orders in [(4,), (6,), (2, 4), (3,)]:
@@ -56,7 +72,7 @@ def test_period_matches_generic_fourier_transform():
         phi = random_phi(rng, orders, 5)
         f = synthetic_form([rng.randrange(-9, 10) for _ in range(5)])
         fvals = {s: emb.field.element(f.coords[i]) for s, i in phi.items()}
-        want = fourier(fvals, orders, emb)
+        want = brute_fourier(fvals, orders, emb)
         for chi in character_group(orders):
             got = toric_period(f, phi, chi, emb)
             assert got.modp == want[chi]
@@ -89,6 +105,17 @@ def test_unit_scaling_preserves_vanishing():
         scaled = synthetic_form([u * c for c in coords])
         for chi, P in base.items():
             assert toric_period(scaled, phi, chi, emb).vzero == P.vzero
+
+
+def test_inconsistent_toric_period_rejected():
+    emb = FieldEmbedding(7, 1)
+    chi = character_group(())[0]
+    one, zero = emb.field.one, emb.field.zero
+    with pytest.raises(ArithmeticError):
+        ToricPeriod(chi, CycloInt.one(1), one, False)
+    with pytest.raises(ArithmeticError):
+        ToricPeriod(chi, CycloInt.zero(1), zero, True)
+    assert ToricPeriod(chi, CycloInt.one(1), one, True).vzero
 
 
 def test_p_dividing_class_number_rejected():

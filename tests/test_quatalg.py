@@ -139,12 +139,21 @@ def test_brandt_commute_adjoint_multiplicative():
 
 
 def test_brandt_family_matches_single_matrices():
+    # one count per n, straight from the definition of B(n)_ij
+    from quatperiods.linalg import qf_solutions
     from quatperiods.quatalg import brandt_family
 
     X = shimura_set(19)
     fam = brandt_family(X, 8)
-    for n in range(1, 9):
-        assert fam[n] == brandt_matrix(X, n)
+    for i in range(X.H):
+        for j in range(X.H):
+            I, J = X.classes[i], X.classes[j]
+            G = I.product(J.conjugate(), X.alg).gram(X.alg)
+            for n in range(1, 9):
+                target = n * I.norm(X.alg) * J.norm(X.alg)
+                cnt = len([s for s in qf_solutions(G, target) if any(s)])
+                assert fam[n][i][j] * 2 * X.weights[j] == cnt
+    assert all(fam[n] == brandt_matrix(X, n) for n in (1, 5, 8))
 
 
 def test_theta_series_diagonal():
