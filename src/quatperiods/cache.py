@@ -6,9 +6,12 @@ Integers that may not fit in 64 bits are stored as decimal strings so the
 files stay portable across JSON readers. A lock file in each per-prime
 directory keeps the cache single-writer; readers never take the lock. The
 lock holds the writer's pid, and a lock whose pid no longer exists (its
-writer was killed) is broken and taken over. Class data read back is
-checked against the Eichler mass formula before it is trusted; data that
-fails is recomputed and rewritten, with a note on stderr.
+writer was killed) is broken and taken over. Data read back is checked
+before it is trusted: class data against the Eichler mass formula, a Brandt
+matrix for its shape, its n, the row sums sigma(n) when n is prime to q, and
+the symmetry w_j B_ij = w_i B_ji. A payload that fails a check, lacks a key
+or holds a value of the wrong type is recomputed and rewritten, with a note
+on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import sys
 import time
 from contextlib import contextmanager, suppress
 from fractions import Fraction
+from math import gcd
+
+import sympy
 
 from .quatalg import (
     Lattice,
@@ -37,7 +43,12 @@ def encode_int(v: int):
 
 
 def decode_int(v) -> int:
-    return int(v)
+    """The integer encode_int wrote: a JSON integer or a decimal string."""
+    if type(v) is int:
+        return v
+    if type(v) is str:
+        return int(v)
+    raise TypeError(f"expected an integer, found {v!r}")
 
 
 def _encode_lattice(L: Lattice) -> dict:
@@ -46,8 +57,10 @@ def _encode_lattice(L: Lattice) -> dict:
 
 
 def _decode_lattice(d: dict) -> Lattice:
-    return Lattice.make([[decode_int(c) for c in row] for row in d["rows"]],
-                        decode_int(d["den"]))
+    rows = [[decode_int(c) for c in row] for row in d["rows"]]
+    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        raise ValueError("lattice basis is not 4 x 4")
+    return Lattice.make(rows, decode_int(d["den"]))
 
 
 class CacheBusy(RuntimeError):
@@ -137,7 +150,7 @@ def shimura_payload(X: ShimuraSet) -> dict:
 
 
 def shimura_from_payload(payload: dict) -> ShimuraSet:
-    alg = build_algebra(payload["q"])
+    alg = build_algebra(decode_int(payload["q"]))
     return ShimuraSet(
         alg,
         _decode_lattice(payload["order"]),
@@ -150,8 +163,11 @@ def shimura_from_payload(payload: dict) -> ShimuraSet:
 def get_shimura_set(cache: Cache, q: int) -> ShimuraSet:
     payload = cache.load(q, "classes.json")
     if payload is not None:
-        X = shimura_from_payload(payload)
-        problem = _shimura_problem(X, q)
+        try:
+            X = shimura_from_payload(payload)
+            problem = _shimura_problem(X, q)
+        except _MALFORMED as err:
+            problem = _malformed(err)
         if not problem:
             return X
         print(f"cache: {cache.path(q, 'classes.json')} {problem}; "
@@ -173,15 +189,52 @@ def _shimura_problem(X: ShimuraSet, q: int) -> str:
     return ""
 
 
+# what decoding a payload of the wrong shape or types raises
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
+
+
+def _malformed(err: Exception) -> str:
+    return f"is malformed ({type(err).__name__}: {err})"
+
+
 def get_brandt(cache: Cache, X: ShimuraSet, n: int):
+    if n < 1:
+        raise ValueError(f"Brandt matrices need n >= 1, not n = {n}")
     q = X.alg.q
-    payload = cache.load(q, f"brandt_{n}.json")
+    name = f"brandt_{n}.json"
+    payload = cache.load(q, name)
     if payload is not None:
-        return [[decode_int(c) for c in row] for row in payload["matrix"]]
+        try:
+            B = [[decode_int(c) for c in row] for row in payload["matrix"]]
+            problem = _brandt_problem(B, decode_int(payload["n"]), X, n)
+        except _MALFORMED as err:
+            problem = _malformed(err)
+        if not problem:
+            return B
+        print(f"cache: {cache.path(q, name)} {problem}; recomputing",
+              file=sys.stderr)
     B = brandt_matrix(X, n)
-    cache.store(q, f"brandt_{n}.json", {
+    cache.store(q, name, {
         "n": n, "matrix": [[encode_int(c) for c in row] for row in B]})
     return B
+
+
+def _brandt_problem(B, stored_n: int, X: ShimuraSet, n: int) -> str:
+    """Why a cached B(n) cannot be trusted, or "" when it checks out."""
+    H, w = X.H, X.weights
+    if stored_n != n:
+        return f"holds the matrix for n = {stored_n}"
+    if len(B) != H or any(len(row) != H for row in B):
+        return f"is not a {H} x {H} matrix"
+    if any(c < 0 for row in B for c in row):
+        return "has a negative entry"
+    if gcd(n, X.alg.q) == 1 and \
+            any(sum(row) != sympy.divisor_sigma(n) for row in B):
+        return "fails the row sums sigma(n)"
+    if any(w[j] * B[i][j] != w[i] * B[j][i]
+           for i in range(H) for j in range(H)):
+        return "fails the symmetry w_j B_ij = w_i B_ji"
+    return ""
 
 
 def resolve_cache_dir(flag_value, config: dict) -> str:

@@ -28,8 +28,9 @@ import sympy
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple:
     """Coefficients (low to high, monic) of the n-th cyclotomic polynomial."""
-    x = sympy.symbols("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+    # polys=True keeps sympy from building (and importing the machinery
+    # for) a symbolic expression of the polynomial
+    poly = sympy.cyclotomic_poly(n, sympy.symbols("x"), polys=True)
     return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
@@ -227,8 +228,8 @@ class FieldEmbedding:
 
 @lru_cache(maxsize=None)
 def _smallest_cyclotomic_factor(p: int, n: int, k: int) -> tuple:
-    x = sympy.symbols("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x, modulus=p)
+    poly = sympy.Poly(cyclotomic_coeffs(n)[::-1], sympy.symbols("x"),
+                      modulus=p)
     factors = []
     for fac, _ in poly.factor_list()[1]:
         coeffs = [int(c) % p for c in reversed(fac.all_coeffs())]

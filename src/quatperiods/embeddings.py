@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .bqf import QuadForm, _xgcd, check_fundamental
 from .curves import kronecker
@@ -76,38 +76,37 @@ def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
             f"{alg.q} splits in the field of discriminant {D}")
     t = -D % 2
     n = (t * t - D) // 4
-    vs = O.vectors()
-    traces = [Fraction(alg.trd(v)) for v in vs]
+    # trd of the basis vectors, times den
+    traces = [alg.trd(r) for r in O.rows]
+    if any(x % O.den for x in traces):
+        raise ValueError("order has a basis element of non-integral trace")
+    traces = [x // O.den for x in traces]
     # particular solution of sum c_s trd(b_s) = t over the integers
     c0 = _particular_trace_solution(traces, t)
-    kernel = _trace_kernel(traces)
-    G = O.gram(alg)
+    K = _trace_kernel(traces)
+    G, s = O.int_gram(alg)          # nrd(c . b) = c G c^T / s
 
-    def quadval(c):
-        return sum(c[i] * G[i][j] * c[j] for i in range(4) for j in range(4))
+    def form(u, v):
+        return sum(u[i] * G[i][j] * v[j] for i in range(4) for j in range(4))
 
-    # nrd restricted to the affine slice c0 + y . K
-    K = kernel
-    G3 = [[sum(K[r][i] * G[i][j] * K[s][j] for i in range(4)
-               for j in range(4)) for s in range(3)] for r in range(3)]
-    lin = [sum(K[r][i] * G[i][j] * c0[j] for i in range(4) for j in range(4))
-           for r in range(3)]
+    # s nrd on the affine slice c0 + y . K is y G3 y^T + 2 y . lin + form(c0)
+    G3 = [[form(K[r], K[k]) for k in range(3)] for r in range(3)]
+    lin = [form(K[r], c0) for r in range(3)]
     Ginv = mat_inv_frac(G3)
-    center = [-sum(Ginv[r][s] * lin[s] for s in range(3)) for r in range(3)]
-    base = quadval(c0) + sum(lin[r] * center[r] for r in range(3))
-    sols = qf_solutions(G3, Fraction(n) - base, center)
+    center = [-sum(Ginv[r][k] * lin[k] for k in range(3)) for r in range(3)]
+    target = n * s - form(c0, c0) - sum(lin[r] * center[r] for r in range(3))
     out = []
-    for y in sols:
+    for y in qf_solutions(G3, target, center):
         c = [c0[i] + sum(y[r] * K[r][i] for r in range(3)) for i in range(4)]
-        omega = tuple(sum(Fraction(c[s]) * vs[s][idx] for s in range(4))
-                      for idx in range(4))
-        if alg.trd(omega) != t or alg.nrd(omega) != n:
+        w = tuple(sum(c[k] * O.rows[k][idx] for k in range(4))
+                  for idx in range(4))     # den * omega
+        if alg.trd(w) != t * O.den or alg.nrd(w) != n * s:
             raise ArithmeticError("candidate has the wrong trace or norm")
-        out.append(omega)
+        out.append(w)
     if not out:
         raise ArithmeticError("order contains no element with the target "
                               "characteristic polynomial")
-    return sorted(out)
+    return [tuple(Fraction(x, O.den) for x in w) for w in sorted(out)]
 
 
 def _particular_trace_solution(traces, t: int):
@@ -136,7 +135,23 @@ def _trace_kernel(traces):
     return k
 
 
-def optimal_embedding(X: ShimuraSet, D: int, which: int = 0) -> TorusEmbedding:
+def embedding_search(X: ShimuraSet, D: int):
+    """(index, candidates): the first class (by index) whose left order
+    contains a suitable omega, and all such omega in that order, sorted."""
+    last_err = None
+    for idx, OL in enumerate(X.left_orders):
+        try:
+            return idx, embedding_candidates(OL, X.alg, D)
+        except ArithmeticError as err:
+            # kept without its traceback, which would tie this frame and the
+            # caller's into a reference cycle that only the collector frees
+            last_err = err.with_traceback(None)
+    raise ArithmeticError(
+        f"no left order admits the discriminant-{D} embedding") from last_err
+
+
+def optimal_embedding(X: ShimuraSet, D: int, which: int = 0,
+                      found=None) -> TorusEmbedding:
     """The deterministic embedding: first class (by index) whose left order
     contains a suitable omega, then the lexicographically smallest omega.
 
@@ -145,37 +160,31 @@ def optimal_embedding(X: ShimuraSet, D: int, which: int = 0) -> TorusEmbedding:
     search walks the class list; the special-points map is then based at
     that class. which = 1 picks the next candidate (used for robustness
     checks); the conjugate t - omega is excluded from being the alternative
-    since it induces the complex-conjugate map.
+    since it induces the complex-conjugate map. `found` is the result of
+    `embedding_search(X, D)` when the caller already has it.
     """
-    alg = X.alg
-    last_err = None
-    for idx, OL in enumerate(X.left_orders):
-        try:
-            cands = embedding_candidates(OL, alg, D)
-        except ArithmeticError as err:
-            last_err = err
-            continue
-        base = X.classes[idx]
-        if which == 0:
-            return TorusEmbedding(alg, OL, D, cands[0], base, idx)
-        first = cands[0]
-        t = -D % 2
-        conj_first = tuple(-w + (t if c == 0 else 0)
-                           for c, w in enumerate(first))
-        for omega in cands[1:]:
-            if omega != conj_first:
-                return TorusEmbedding(alg, OL, D, omega, base, idx)
-        return TorusEmbedding(alg, OL, D, conj_first, base, idx)
-    raise ArithmeticError(
-        f"no left order admits the discriminant-{D} embedding") from last_err
+    idx, cands = found if found is not None else embedding_search(X, D)
+    alg, OL, base = X.alg, X.left_orders[idx], X.classes[idx]
+    if which == 0:
+        return TorusEmbedding(alg, OL, D, cands[0], base, idx)
+    first = cands[0]
+    t = -D % 2
+    conj_first = tuple(-w + (t if c == 0 else 0)
+                       for c, w in enumerate(first))
+    for omega in cands[1:]:
+        if omega != conj_first:
+            return TorusEmbedding(alg, OL, D, omega, base, idx)
+    return TorusEmbedding(alg, OL, D, conj_first, base, idx)
 
 
 def special_ideal(emb: TorusEmbedding, form: QuadForm) -> Lattice:
     """The right ideal iota(a) . I_base for the ideal a attached to the form."""
     gens = emb.ideal_generators(form)
-    alg = emb.alg
-    vecs = [alg.mult(g, v) for g in gens for v in emb.base_ideal.vectors()]
-    return Lattice.from_vectors(vecs)
+    den = lcm(*(Fraction(x).denominator for g in gens for x in g))
+    B = emb.base_ideal
+    vecs = [emb.alg.mult([int(x * den) for x in g], r)
+            for g in gens for r in B.rows]
+    return Lattice.make(vecs, den * B.den)
 
 
 def special_point(emb: TorusEmbedding, form: QuadForm, X: ShimuraSet) -> int:

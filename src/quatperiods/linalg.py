@@ -1,17 +1,19 @@
 """Exact integer and rational linear algebra plus lattice-point enumeration.
 
 Everything here is exact: integer Hermite/Smith forms, Fraction Gaussian
-elimination, and Fincke-Pohst style enumeration of quadratic-form values
-driven by a rational LDL decomposition (no floating point anywhere on the
-decision path; floats appear only as a first guess for integer ranges and
-are corrected exactly).
+elimination, Bareiss determinants, and Fincke-Pohst enumeration of the
+integer vectors in an ellipsoid or shell (Fincke-Pohst, Math. Comp. 44
+(1985); Cohen, GTM 138, Alg. 2.7.5). The enumeration runs on integers only:
+a rational Gram matrix, centre and bound are scaled to integers once, the
+form gets one fraction-free LDL decomposition, and each level of the search
+carries its exact remainder as an integer, so every coordinate range is an
+isqrt and two floor divisions. No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def hnf(rows):
@@ -199,76 +201,158 @@ def mat_inv_frac(A):
     return [row[n:] for row in M]
 
 
+def int_det(M):
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination: every intermediate entry is a minor of M, so each division
+    is exact."""
+    A = [list(map(int, r)) for r in M]
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if A[r][k]), None)
+            if piv is None:
+                return 0
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[k][k] * A[i][j] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1] if n else 1
+
+
 def ldl(G):
-    """Decompose a symmetric positive-definite rational Gram matrix.
+    """Fraction-free LDL decomposition of a symmetric positive-definite
+    integer Gram matrix (Bareiss elimination without pivoting).
 
-    Returns (q, u) with Q(x) = sum_i q[i] * (x_i + sum_{j>i} u[i][j] x_j)^2.
+    Returns (d, M): d[k] is the k-th leading principal minor (d[0] = 1) and M
+    is upper triangular with M[i][i] = d[i+1], such that
+        Q(y) = y G y^T = sum_i (sum_{j>=i} M[i][j] y_j)^2 / (d[i] d[i+1]).
     """
     n = len(G)
-    A = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
-    q = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i] = A[i][i]
-        if q[i] <= 0:
+    A = [list(map(int, r)) for r in G]
+    d = [1] * (n + 1)
+    M = []
+    for k in range(n):
+        if A[k][k] <= 0:
             raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = A[i][j] / q[i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                A[r][c] -= A[r][i] * A[i][c] / q[i]
-    return q, u
+        d[k + 1] = A[k][k]
+        M.append([0] * k + A[k][k:])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[k][k] * A[i][j] - A[i][k] * A[k][j]) // d[k]
+    return d, M
 
 
-def _int_range(z, s2):
-    """All integers t with (t - z)^2 <= s2, for Fractions z and s2 >= 0."""
-    if s2 < 0:
-        return range(0)
-    a, b = s2.numerator, s2.denominator
-    s_hi = Fraction(isqrt(a * b) + 1, b)
-    lo = math.ceil(z - s_hi)
-    hi = math.floor(z + s_hi)
-    while lo <= hi and (lo - z) ** 2 > s2:
-        lo += 1
-    while hi >= lo and (hi - z) ** 2 > s2:
-        hi -= 1
-    return range(lo, hi + 1)
+def _common_den(values) -> int:
+    den = 1
+    for v in values:
+        if type(v) is not int:
+            den = lcm(den, Fraction(v).denominator)
+    return den
 
 
-def qf_enumerate(G, bound, center=None):
-    """Yield every integer vector x with Q(x - center) <= bound.
+def qf_enumerate(G, bound, center=None, lo=None):
+    """Yield (x, rem) for every integer vector x with lo <= Q(x - c) <= bound,
+    where c = center, Q(v) = v G v^T and rem = bound - Q(x - c) exactly.
 
-    G is a symmetric positive-definite Gram matrix (Fractions or ints),
-    Q(v) = v G v^T. The zero vector is included when it qualifies; both
-    signs of each vector are produced.
+    G is a symmetric positive-definite Gram matrix (ints or Fractions); lo
+    defaults to no lower limit. The zero vector is included when it
+    qualifies; both signs of each vector are produced.
+
+    The search runs on integers only. With s the common denominator of G
+    and cd that of c, Y = cd x - cd c is an integer vector and
+    s cd^2 Q(x - c) = Q_int(Y) for the integer form s G; the LDL of that
+    form is taken once, and every level of the Fincke-Pohst recursion keeps
+    the exact remainder scaled to an integer, so each coordinate range is an
+    isqrt and two floor divisions, and the shell lo <= Q at the last level
+    is cut to the values that can reach it.
     """
     n = len(G)
-    q, u = ldl(G)
-    c = [Fraction(x) for x in (center if center is not None else [0] * n)]
-    bound = Fraction(bound)
-    x = [0] * n
+    s = _common_den(x for r in G for x in r)
+    Gi = G if s == 1 else [[int(x * s) for x in r] for r in G]
+    cd = 1 if center is None else _common_den(center)
+    cn = [0] * n if center is None else [int(x * cd) for x in center]
+    scale = s * cd * cd
+    bound = Fraction(bound) if type(bound) is not int else bound
+    hi = bound * scale // 1
+    low = 0 if lo is None else -(-Fraction(lo) * scale // 1)
+    if hi < max(low, 0):
+        return
+    yield from _Search(Gi, cd, cn, hi, low).run(bound, scale)
 
-    def rec(i, rem):
-        if i < 0:
-            yield tuple(x)
-            return
-        z = c[i] - sum(u[i][j] * (x[j] - c[j]) for j in range(i + 1, n))
-        for t in _int_range(z, rem / q[i]):
+
+class _Search:
+    """The integer data one Fincke-Pohst search shares across its levels
+    (an object rather than closures, so a search leaves no reference cycle
+    for the garbage collector)."""
+
+    def __init__(self, Gi, cd, cn, hi, low):
+        n = len(Gi)
+        self.n, self.cd, self.cn, self.hi = n, cd, cn, hi
+        self.d, self.M = ldl(Gi)
+        d = self.d
+        # L (hi - Q_int(Y)), the scaled remainder, is an integer at every level
+        L = 1
+        for i in range(n):
+            L = lcm(L, d[i] * d[i + 1])
+        self.L = L
+        self.e = [L // (d[i] * d[i + 1]) for i in range(n)]
+        self.gap = L * (hi - low)
+        self.x = [0] * n
+        self.Y = [0] * n
+
+    def run(self, bound, scale):
+        """(x, bound - Q(x - c)) for each leaf, Q(x - c) = Q_int(Y) / scale."""
+        R = self.L * self.hi
+        for x, rem in (self.rec(self.n - 1, R) if self.n > 1 else
+                       self.leaves(R)):
+            q = self.hi - rem // self.L     # Q_int(Y), exactly
+            yield x, (bound - q if scale == 1 else bound - Fraction(q, scale))
+
+    def leaves(self, R):
+        """(x, L (hi - Q_int(Y))) for the leaves below one node of the last
+        level but one: v = A x_0 + W with R - gap <= e_0 v^2 <= R."""
+        d, cd = self.d, self.cd
+        A = d[1] * cd
+        W = sum(self.M[0][j] * self.Y[j] for j in range(1, self.n)) \
+            - d[1] * self.cn[0]
+        e0 = self.e[0]
+        S = isqrt(R // e0)
+        m = -((self.gap - R) // e0)     # least v^2 that keeps Q >= lo
+        if m <= 0:
+            spans = ((-S, S),)
+        else:
+            r = isqrt(m - 1) + 1
+            spans = ((-S, -r), (r, S))
+        tail = tuple(self.x[1:])
+        out = []
+        for a, b in spans:
+            for t in range(-((W - a) // A), (b - W) // A + 1):
+                v = A * t + W
+                out.append(((t,) + tail, R - e0 * v * v))
+        return out
+
+    def rec(self, i, R):
+        # v = sum_{j>=i} M[i][j] Y_j = A x_i + W must obey e_i v^2 <= R
+        d, cd, cn, x, Y = self.d, self.cd, self.cn, self.x, self.Y
+        Mi = self.M[i]
+        A = d[i + 1] * cd
+        W = sum(Mi[j] * Y[j] for j in range(i + 1, self.n)) - d[i + 1] * cn[i]
+        ei = self.e[i]
+        S = isqrt(R // ei)
+        for t in range(-((S + W) // A), (S - W) // A + 1):
+            v = A * t + W
             x[i] = t
-            yield from rec(i - 1, rem - q[i] * (t - z) ** 2)
-
-    yield from rec(n - 1, bound)
+            Y[i] = cd * t - cn[i]
+            if i > 1:
+                yield from self.rec(i - 1, R - ei * v * v)
+            else:
+                yield from self.leaves(R - ei * v * v)
 
 
 def qf_solutions(G, target, center=None):
-    """Integer vectors x with Q(x - center) exactly equal to target."""
-    n = len(G)
-    c = [Fraction(x) for x in (center if center is not None else [0] * n)]
-    target = Fraction(target)
-    out = []
-    for v in qf_enumerate(G, target, center):
-        d = [v[i] - c[i] for i in range(n)]
-        val = sum(d[i] * G[i][j] * d[j] for i in range(n) for j in range(n))
-        if val == target:
-            out.append(v)
-    return out
+    """Integer vectors x with Q(x - center) exactly equal to target: the
+    leaves of the shell target <= Q <= target, all of remainder 0."""
+    return [x for x, _ in qf_enumerate(G, target, center, lo=target)]

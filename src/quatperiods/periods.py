@@ -28,7 +28,7 @@ from .charfield import (
     subgroup_closure,
 )
 from .curves import kronecker
-from .embeddings import optimal_embedding, phi_map
+from .embeddings import embedding_search, optimal_embedding, phi_map
 from .quatalg import (
     Eigenform,
     ShimuraSet,
@@ -101,6 +101,14 @@ class PeriodPipeline:
         # the eigenform has rational integer coordinates, so its mod-p
         # values generate the prime field
         self.q0 = p
+        self._last_cg = (None, None)
+
+    def class_group(self, D: int) -> ClassGroup:
+        """class_group_structure(D), kept for the last D asked: a row asks
+        for it once to decide the skip reason and once to compute."""
+        if self._last_cg[0] != D:
+            self._last_cg = (D, class_group_structure(D))
+        return self._last_cg[1]
 
     def skip_reason(self, D: int) -> str:
         if not is_fundamental(D):
@@ -111,7 +119,7 @@ class PeriodPipeline:
             return "ramified"
         if kronecker(D, self.q) == 1:
             return "split"
-        if class_group_structure(D).h % self.p == 0:
+        if self.class_group(D).h % self.p == 0:
             return "p|h"
         return ""
 
@@ -125,10 +133,11 @@ class PeriodPipeline:
         log_bound = math.log(abs(D)) ** (1 - eps) if D < -1 else 0.0
         if reason:
             return ScanRow(D, 0, self.q0, 0, 0, (), log_bound, reason)
-        cg = class_group_structure(D)
+        cg = self.class_group(D)
         n = cg.exponent
         emb = FieldEmbedding(self.p, n)
-        phi = phi_map(optimal_embedding(self.X, D), cg, self.X)
+        found = embedding_search(self.X, D)
+        phi = phi_map(optimal_embedding(self.X, D, found=found), cg, self.X)
         pers = self.periods(cg, phi, emb)
         xi = tuple(sorted(chi.exponents for chi, P in pers.items()
                           if P.vzero))
@@ -145,7 +154,8 @@ class PeriodPipeline:
         if check_fourier:
             self._fourier_check(pers, phi, emb)
         if check_embedding:
-            phi2 = phi_map(optimal_embedding(self.X, D, which=1), cg, self.X)
+            phi2 = phi_map(optimal_embedding(self.X, D, which=1, found=found),
+                           cg, self.X)
             pers2 = self.periods(cg, phi2, emb)
             ell2 = sum(1 for P in pers2.values() if P.vzero)
             if ell2 != len(xi):

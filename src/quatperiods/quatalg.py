@@ -3,22 +3,28 @@ infinity: maximal orders, right-ideal classes (the Shimura set) with unit
 weights, Brandt matrices, and the integral Hecke eigenform attached to an
 elliptic curve of conductor q.
 
-Quaternions are row 4-vectors of Fractions over the basis 1, i, j, k with
-i^2 = a, j^2 = b, k = ij = -ji. Lattices are full-rank Z-modules stored as
-an integer row-Hermite basis over a common denominator, so all lattice
-arithmetic (products, intersections, norms, discriminants) is exact.
+Quaternions are row 4-vectors over the basis 1, i, j, k with i^2 = a,
+j^2 = b, k = ij = -ji. Lattices are full-rank Z-modules stored as an integer
+row-Hermite basis over one common denominator, and lattice arithmetic runs
+on those integer rows: a product multiplies the rows of its factors and
+takes the product of the denominators, a Gram matrix is an integer matrix
+with the scale den^2, a discriminant is a Bareiss determinant of the
+integer trace form. Rationals appear only where a result leaves the
+lattice layer (`Lattice.vectors`, `Lattice.gram`, `Lattice.norm`).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import sympy
 
-from .linalg import (hnf, hnf_solve, left_kernel, mat_inv_frac,
-                     qf_enumerate, qf_solutions)
+from .linalg import (hnf, hnf_solve, int_det, left_kernel, qf_enumerate,
+                     qf_solutions)
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +62,10 @@ class QuaternionAlgebra:
         return x0 * x0 - self.a * x1 * x1 - self.b * x2 * x2 \
             + self.a * self.b * x3 * x3
 
-    def nrd_bilinear(self, x, y):
-        """trd(x * conj(y)) = nrd(x+y) - nrd(x) - nrd(y)."""
-        return self.trd(self.mult(x, self.conj(y)))
-
-    def right_mult_matrix(self, y):
-        """Matrix R with x*y = x.R for row vectors x."""
-        basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        return [list(self.mult(e, y)) for e in basis]
+    @property
+    def nrd_weights(self):
+        """w with nrd(x) = sum_t w_t x_t^2 (the basis is orthogonal)."""
+        return (1, -self.a, -self.b, self.a * self.b)
 
     def ramified_primes(self):
         """Finite ramified primes, by Hilbert symbols at 2 and odd p | 2ab."""
@@ -135,17 +137,6 @@ def build_algebra(q: int) -> QuaternionAlgebra:
 # ---------------------------------------------------------------------------
 # lattices
 
-def _frac_gcd(values) -> Fraction:
-    num, den = 0, 1
-    for v in values:
-        v = Fraction(v)
-        num = gcd(num * v.denominator, v.numerator * den)
-        den = den * v.denominator // gcd(den, v.denominator)
-        g = gcd(num, den)
-        num, den = num // g, den // g
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice in B: rows/den with rows an integer Hermite basis."""
@@ -176,11 +167,13 @@ class Lattice:
     def vectors(self):
         return [tuple(Fraction(x, self.den) for x in r) for r in self.rows]
 
-    def contains(self, vec) -> bool:
-        return self.coordinates(vec) is not None
+    def contains(self, vec, den: int = 1) -> bool:
+        return self.coordinates(vec, den) is not None
 
-    def coordinates(self, vec):
-        scaled = [Fraction(x) * self.den for x in vec]
+    def coordinates(self, vec, den: int = 1):
+        """Integer coordinates of vec/den in the basis, or None when vec/den
+        is not in the lattice."""
+        scaled = [Fraction(x * self.den, den) for x in vec]
         if any(f.denominator != 1 for f in scaled):
             return None
         return hnf_solve([list(r) for r in self.rows],
@@ -188,58 +181,51 @@ class Lattice:
 
     def scale(self, c) -> "Lattice":
         c = Fraction(c)
-        return Lattice.from_vectors(
-            [[x * c for x in v] for v in self.vectors()])
+        return Lattice.make([[x * c.numerator for x in r] for r in self.rows],
+                            self.den * c.denominator)
 
     def product(self, other: "Lattice", alg: QuaternionAlgebra) -> "Lattice":
-        vecs = [alg.mult(u, v)
-                for u in self.vectors() for v in other.vectors()]
-        return Lattice.from_vectors(vecs)
+        return Lattice.make([alg.mult(u, v)
+                             for u in self.rows for v in other.rows],
+                            self.den * other.den)
 
     def conjugate(self) -> "Lattice":
-        return Lattice.from_vectors(
-            [QuaternionAlgebra.conj(v) for v in self.vectors()])
+        return Lattice.make([QuaternionAlgebra.conj(r) for r in self.rows],
+                            self.den)
+
+    def int_gram(self, alg: QuaternionAlgebra):
+        """(G, s): the integer matrix G and s = den^2 with
+        nrd(sum c_i b_i) = c G c^T / s."""
+        w = alg.nrd_weights
+        R = self.rows
+        G = [[sum(w[t] * u[t] * v[t] for t in range(4)) for v in R]
+             for u in R]
+        return G, self.den * self.den
 
     def gram(self, alg: QuaternionAlgebra):
         """G with nrd(sum c_i b_i) = c G c^T (Fraction entries)."""
-        vs = self.vectors()
-        return [[Fraction(alg.nrd_bilinear(u, v), 2) for v in vs] for u in vs]
+        G, s = self.int_gram(alg)
+        return [[Fraction(x, s) for x in r] for r in G]
 
     def norm(self, alg: QuaternionAlgebra) -> Fraction:
         """The reduced norm of the lattice: content of its norm form."""
-        G = self.gram(alg)
-        vals = [G[i][i] for i in range(4)]
-        vals += [2 * G[i][j] for i in range(4) for j in range(i + 1, 4)]
-        return _frac_gcd(vals)
+        G, s = self.int_gram(alg)
+        return Fraction(gcd(*(G[i][i] for i in range(4)),
+                            *(2 * G[i][j] for i in range(4)
+                              for j in range(i + 1, 4))), s)
 
     def reduced_discriminant(self, alg: QuaternionAlgebra) -> int:
-        vs = self.vectors()
-        M = [[alg.trd(alg.mult(u, v)) for v in vs] for u in vs]
-        d = _det4(M)
-        num = abs(d.numerator)
-        if d.denominator != 1:
+        R = self.rows
+        # den^2 times the trace form trd(b_u b_v), so det carries den^8
+        d = int_det([[alg.trd(alg.mult(u, v)) for v in R] for u in R])
+        d8 = self.den ** 8
+        if d % d8:
             raise ArithmeticError("non-integral trace form")
+        num = abs(d // d8)
         r = isqrt(num)
         if r * r != num:
             raise ArithmeticError("trace-form determinant is not a square")
         return r
-
-
-def _det4(M):
-    import itertools
-    total = Fraction(0)
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        p = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] > p[j]:
-                    sign = -sign
-        term = Fraction(1)
-        for i in range(4):
-            term *= Fraction(M[i][perm[i]])
-        total += sign * term
-    return total
 
 
 def lattice_intersection(A: Lattice, B: Lattice) -> Lattice:
@@ -266,12 +252,11 @@ def standard_order(alg: QuaternionAlgebra) -> Lattice:
 def is_order(L: Lattice, alg: QuaternionAlgebra) -> bool:
     if not L.contains((1, 0, 0, 0)):
         return False
-    vs = L.vectors()
-    for u in vs:
-        t, n = alg.trd(u), alg.nrd(u)
-        if Fraction(t).denominator != 1 or Fraction(n).denominator != 1:
-            return False
-    return all(L.contains(alg.mult(u, v)) for u in vs for v in vs)
+    R, d = L.rows, L.den
+    # the basis is R/d: integral traces and norms, closed under products
+    if any(2 * u[0] % d or alg.nrd(u) % (d * d) for u in R):
+        return False
+    return all(L.contains(alg.mult(u, v), d * d) for u in R for v in R)
 
 
 def maximal_order(alg: QuaternionAlgebra) -> Lattice:
@@ -293,47 +278,37 @@ def maximal_order(alg: QuaternionAlgebra) -> Lattice:
 
 
 def _saturate_at(O: Lattice, alg: QuaternionAlgebra, r: int):
-    vs = O.vectors()
-    for c0 in range(r):
-        for c1 in range(r):
-            for c2 in range(r):
-                for c3 in range(r):
-                    if not (c0 or c1 or c2 or c3):
-                        continue
-                    x = tuple(
-                        Fraction(c0 * vs[0][t] + c1 * vs[1][t]
-                                 + c2 * vs[2][t] + c3 * vs[3][t], r)
-                        for t in range(4))
-                    if O.contains(x):
-                        continue
-                    if Fraction(alg.trd(x)).denominator != 1:
-                        continue
-                    if Fraction(alg.nrd(x)).denominator != 1:
-                        continue
-                    cand = Lattice.from_vectors(vs + [list(x)])
-                    if is_order(cand, alg):
-                        return cand
+    """The first order O + Z x, x = sum c_s b_s / r with 0 <= c_s < r not
+    all 0 (so x is not in O), in lexicographic order of c; None if there is
+    none."""
+    R, e = O.rows, O.den * r
+    for c in itertools.product(range(r), repeat=4):
+        if not any(c):
+            continue
+        w = [sum(cs * Rs[t] for cs, Rs in zip(c, R)) for t in range(4)]
+        if 2 * w[0] % e or alg.nrd(w) % (e * e):    # x = w / e
+            continue
+        cand = Lattice.make([[r * v for v in Rs] for Rs in R] + [w], e)
+        if is_order(cand, alg):
+            return cand
     return None
 
 
 def left_order(L: Lattice, alg: QuaternionAlgebra) -> Lattice:
     """{x in B : x L is contained in L}."""
     acc = None
-    for y in L.vectors():
-        n = alg.nrd(y)
-        yinv = tuple(Fraction(c, 1) / n for c in alg.conj(y))
-        R = alg.right_mult_matrix(yinv)
-        vecs = [[sum(Fraction(v[t]) * R[t][c] for t in range(4))
-                 for c in range(4)] for v in L.vectors()]
-        cand = Lattice.from_vectors(vecs)
+    for y in L.rows:
+        # L y^-1 = L conj(y) / nrd(y); the denominators of L cancel
+        cand = Lattice.make([alg.mult(x, alg.conj(y)) for x in L.rows],
+                            alg.nrd(y))
         acc = cand if acc is None else lattice_intersection(acc, cand)
     return acc
 
 
 def unit_count(O: Lattice, alg: QuaternionAlgebra) -> int:
     """Number of units (reduced-norm-1 elements) of the order O."""
-    sols = qf_solutions(O.gram(alg), 1)
-    return len([s for s in sols if any(s)])
+    G, s = O.int_gram(alg)
+    return len([x for x in qf_solutions(G, s) if any(x)])
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +339,9 @@ class ShimuraSet:
 def is_isomorphic(I: Lattice, J: Lattice, alg: QuaternionAlgebra) -> bool:
     """Same right-ideal class iff I * conj(J) represents nrd(I) * nrd(J)."""
     P = I.product(J.conjugate(), alg)
-    target = I.norm(alg) * J.norm(alg)
-    sols = qf_solutions(P.gram(alg), target)
-    return any(any(s) for s in sols)
+    G, s = P.int_gram(alg)
+    target = I.norm(alg) * J.norm(alg) * s
+    return any(any(x) for x, _ in qf_enumerate(G, target, lo=target))
 
 
 def _two_neighbors(I: Lattice, O: Lattice, alg: QuaternionAlgebra):
@@ -375,19 +350,18 @@ def _two_neighbors(I: Lattice, O: Lattice, alg: QuaternionAlgebra):
     Works in I/2I (an F_2^4 with a right O-action); stable 2-dimensional
     subspaces correspond to the 2+1 neighbors.
     """
-    Binv = mat_inv_frac([list(r) for r in I.rows])
+    basis = [list(r) for r in I.rows]
     mats = []
-    for y in O.vectors():
-        R = alg.right_mult_matrix(y)
-        # action on I-coordinates: M = B R B^{-1} (den cancels)
-        M = [[sum(Fraction(I.rows[s][t]) * R[t][u] * Binv[u][c]
-                  for t in range(4) for u in range(4)) for c in range(4)]
-             for s in range(4)]
+    for y in O.rows:
+        # action on I-coordinates: row s solves c . B = B_s y_int / den(O)
         Mint = []
-        for row in M:
-            if any(f.denominator != 1 for f in row):
+        for r in I.rows:
+            v = alg.mult(r, y)
+            c = None if any(x % O.den for x in v) else \
+                hnf_solve(basis, [x // O.den for x in v])
+            if c is None:
                 raise ArithmeticError("order does not act on I/2I")
-            Mint.append([int(f) % 2 for f in row])
+            Mint.append([x % 2 for x in c])
         mats.append(Mint)
 
     def mulvec(v, M):
@@ -465,23 +439,26 @@ def brandt_family(X: ShimuraSet, nmax: int) -> dict:
 
     Enumerating each I_i conj(I_j) once up to norm nmax and bucketing the
     counts by norm is much cheaper than one enumeration per n."""
+    if nmax < 1:
+        raise ValueError(f"Brandt matrices need n >= 1, not n = {nmax}")
     alg = X.alg
     H = X.H
     out = {n: [[0] * H for _ in range(H)] for n in range(1, nmax + 1)}
     for i in range(H):
         for j in range(H):
             P = X.classes[i].product(X.classes[j].conjugate(), alg)
-            NN = X.classes[i].norm(alg) * X.classes[j].norm(alg)
-            G = P.gram(alg)
+            G, s = P.int_gram(alg)
+            NN = X.classes[i].norm(alg) * X.classes[j].norm(alg) * s
+            nn, nd = NN.numerator, NN.denominator
             counts = [0] * (nmax + 1)
-            for v in qf_enumerate(G, nmax * NN):
-                if not any(v):
-                    continue
-                val = sum(v[r] * G[r][s] * v[s]
-                          for r in range(4) for s in range(4))
-                n = Fraction(val) / Fraction(NN)
-                if n.denominator == 1 and n <= nmax:
-                    counts[int(n)] += 1
+            # nrd(x) = n nrd(I_i) nrd(I_j) <=> c G c^T = n NN: bucket the
+            # vectors by their exact remainder top - c G c^T
+            top = nmax * nn // nd
+            hist = Counter(rem for _, rem in qf_enumerate(G, top))
+            for rem, k in hist.items():
+                val = (top - rem) * nd
+                if val and val % nn == 0:
+                    counts[val // nn] += k
             w2 = 2 * X.weights[j]
             for n in range(1, nmax + 1):
                 if counts[n] % w2:
@@ -544,9 +521,8 @@ def eigenform(X: ShimuraSet, curve, p: int, primes=(2, 3, 5, 7, 13)) -> Eigenfor
 
 def two_sided_ideal(O: Lattice, alg: QuaternionAlgebra) -> Lattice:
     """The unique two-sided O-ideal P with nrd(P) = q and P^2 = qO."""
-    q = alg.q
-    vs = O.vectors()
-    T = [[int(Fraction(alg.trd(alg.mult(u, v)))) % q for v in vs] for u in vs]
+    q, d2 = alg.q, O.den * O.den
+    T = [[alg.trd(alg.mult(u, v)) // d2 % q for v in O.rows] for u in O.rows]
     kern = _kernel_mod_p(T, q)
     rows = []
     for c in kern:

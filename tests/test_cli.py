@@ -133,6 +133,56 @@ def test_cli_tampered_cache_is_recomputed(tmp_path, capsys, tamper, problem):
     assert path.read_text() == original
 
 
+@pytest.mark.parametrize("payload", [{}, [], {"q": "eleven"}])
+def test_cli_malformed_class_cache_is_recomputed(tmp_path, capsys, payload):
+    cache_dir, path, good = cached_classes(tmp_path, capsys)
+    original = path.read_text()
+    path.write_text(json.dumps(payload))
+    code = main(["shimura-set", "--q", "11", "--cache-dir", str(cache_dir)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == good
+    assert "is malformed" in captured.err and str(path) in captured.err
+    assert captured.err.count("\n") == 1
+    assert path.read_text() == original
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (lambda d: d.update(matrix=[[9, 9], [9, 9]]), "row sums"),
+    (lambda d: d.update(n=3), "n = 3"),
+    (lambda d: d.update(matrix=[[1, 2]]), "2 x 2"),
+    (lambda d: d.update(matrix=[[2, 1], [1, 2]]), "symmetry"),
+    (lambda d: d.pop("matrix"), "is malformed"),
+    (lambda d: d.update(matrix=[[1, "x"], [3, 0]]), "is malformed"),
+])
+def test_cli_tampered_brandt_cache_is_recomputed(tmp_path, capsys, tamper,
+                                                 problem):
+    cache_dir = tmp_path / "cache"
+    argv = ["brandt", "--q", "11", "--n", "2", "--cache-dir", str(cache_dir)]
+    assert main(argv) == 0
+    good = capsys.readouterr().out
+    path = cache_dir / "q11" / "brandt_2.json"
+    original = path.read_text()
+    data = json.loads(original)
+    tamper(data)
+    path.write_text(json.dumps(data))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == good
+    assert problem in captured.err and str(path) in captured.err
+    assert captured.err.count("\n") == 1
+    assert path.read_text() == original
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_brandt_nonpositive_n_exits_2(tmp_path, capsys, n):
+    code = main(["brandt", "--q", "11", "--n", n,
+                 "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("precondition violated: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cache_dir_precedence(tmp_path, monkeypatch):
     monkeypatch.delenv("TPL_CACHE", raising=False)
     assert resolve_cache_dir(None, {}) == "cache"
