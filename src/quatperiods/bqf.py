@@ -13,7 +13,7 @@ from math import gcd, isqrt, prod
 import sympy
 
 from .charfield import group_elements
-from .linalg import mat_inv_frac, snf
+from .linalg import snf
 
 
 class NonFundamentalDiscriminant(ValueError):
@@ -214,8 +214,7 @@ def class_group_structure(D: int) -> ClassGroup:
     ident = principal_form(D)
 
     if h == 1:
-        cg = ClassGroup(D, 1, forms, [], {ident: ()})
-        return cg
+        return ClassGroup(D, 1, forms, [], {ident: ()})
 
     # greedy generating set: repeatedly adjoin the lex-smallest form of
     # maximal order outside the current subgroup, with relative orders
@@ -247,32 +246,23 @@ def class_group_structure(D: int) -> ClassGroup:
     k = len(gens)
     rel_rows = []
     for i, (g, m) in enumerate(zip(gens, rel_orders)):
-        p = form_pow(g, m)
-        vec = list(rel_dlog[p])
-        row = [0] * k
-        row[i] = m
-        for j in range(k):
-            row[j] -= vec[j]
-        rel_rows.append(row)
+        vec = rel_dlog[form_pow(g, m)]
+        rel_rows.append([m * (i == j) - vec[j] for j in range(k)])
 
     Dmat, U, V = snf(rel_rows)
     inv_factors = [Dmat[i][i] for i in range(k)]
     keep = [j for j in range(k) if inv_factors[j] > 1]
-    # the new generator for invariant factor j is prod_i g_i^{(V^-1)[j][i]};
-    # V is unimodular, so its Fraction inverse has integer entries
-    Vinv = [[int(x) for x in row] for row in mat_inv_frac(V)]
-    factors = []
-    for j in keep:
-        acc = ident
-        for i in range(k):
-            acc = compose(acc, form_pow(gens[i], Vinv[j][i]))
-        factors.append((acc, inv_factors[j]))
-
+    # exponents in the generators g_i map to Smith coordinates by V
     dlog = {}
     for f in forms:
         vec = rel_dlog[f]
-        new_vec = [sum(vec[i] * V[i][j] for i in range(k)) for j in range(k)]
-        dlog[f] = tuple(new_vec[j] % inv_factors[j] for j in keep)
+        dlog[f] = tuple(sum(vec[i] * V[i][j] for i in range(k))
+                        % inv_factors[j] for j in keep)
+    # the generator of invariant factor j is the class whose vector is e_j;
+    # if there is none, dlog is not a bijection and _verify_structure raises
+    by_vec = {vec: f for f, vec in dlog.items()}
+    factors = [(by_vec.get(tuple(int(i == j) for i in keep), ident),
+                inv_factors[j]) for j in keep]
     cg = ClassGroup(D, h, forms, factors, dlog)
     _verify_structure(cg)
     return cg

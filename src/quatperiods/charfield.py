@@ -138,10 +138,6 @@ class FiniteField:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def mul(self, a: tuple, b: tuple) -> tuple:
         p, k, mod = self.p, self.k, self.modulus
         prod = [0] * (2 * k - 1)

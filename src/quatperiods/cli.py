@@ -198,6 +198,8 @@ def cmd_equidist(args, config):
 
 def cmd_stability(args, config):
     orders = tuple(int(t) for t in args.orders.split(",") if t)
+    if any(n < 1 for n in orders):
+        raise PreconditionError(f"--orders needs entries >= 1, got {orders}")
     q = setting(args, config, "q")
     out = {"orders": list(orders), "q": q,
            "lower_bound": stable_generation_lower_bound(orders, q)}

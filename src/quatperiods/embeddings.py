@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .bqf import QuadForm, _xgcd, check_fundamental
 from .curves import kronecker
-from .linalg import left_kernel, mat_inv_frac, qf_solutions
+from .linalg import int_det, left_kernel, qf_solutions
 from .quatalg import Lattice, QuaternionAlgebra, ShimuraSet
 
 
@@ -30,7 +30,8 @@ class EmbeddingError(ValueError):
 @dataclass(frozen=True)
 class TorusEmbedding:
     """omega generates the image of the quadratic order inside the left
-    order of the base ideal; special points are classes of iota(a) . base."""
+    order of the base ideal; special points are classes of iota(a) . base.
+    omega holds the integer numerators of omega over order.den."""
 
     alg: QuaternionAlgebra
     order: Lattice
@@ -47,24 +48,21 @@ class TorusEmbedding:
     def n(self) -> int:
         return (self.t * self.t - self.D) // 4
 
-    def sqrt_D(self) -> tuple:
-        return tuple(2 * w - (self.t if idx == 0 else 0)
-                     for idx, w in enumerate(self.omega))
-
     def ideal_generators(self, form: QuadForm):
-        """Images of the ideal basis (a, (-b + sqrt D)/2) of a form class."""
+        """Images of the ideal basis (a, (-b + sqrt D)/2) of a form class,
+        as integer numerators over order.den."""
         if form.disc != self.D:
             raise ValueError("form discriminant mismatch")
         # (-b + sqrt D)/2 = omega - (b + t)/2
-        shift = (form.b + self.t) // 2
-        gamma = tuple(w - (shift if idx == 0 else 0)
-                      for idx, w in enumerate(self.omega))
-        one = (Fraction(form.a), Fraction(0), Fraction(0), Fraction(0))
-        return [one, gamma]
+        den = self.order.den
+        w0, w1, w2, w3 = self.omega
+        return [(form.a * den, 0, 0, 0),
+                (w0 - (form.b + self.t) // 2 * den, w1, w2, w3)]
 
 
 def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
-    """All omega in the order with trd = D mod 2, nrd = (t^2 - D)/4, sorted.
+    """All omega in the order with trd = D mod 2, nrd = (t^2 - D)/4, as
+    sorted integer numerators over O.den.
 
     Raises ArithmeticError when the order contains no such element (the
     quadratic order then embeds into a different class's left order)."""
@@ -92,9 +90,13 @@ def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
     # s nrd on the affine slice c0 + y . K is y G3 y^T + 2 y . lin + form(c0)
     G3 = [[form(K[r], K[k]) for k in range(3)] for r in range(3)]
     lin = [form(K[r], c0) for r in range(3)]
-    Ginv = mat_inv_frac(G3)
-    center = [-sum(Ginv[r][k] * lin[k] for k in range(3)) for r in range(3)]
-    target = n * s - form(c0, c0) - sum(lin[r] * center[r] for r in range(3))
+    # the centre -G3^-1 lin by Cramer's rule: G3^-1 lin = num / det3
+    det3 = int_det(G3)
+    num = [int_det([[lin[r] if k == c else G3[r][k] for k in range(3)]
+                    for r in range(3)]) for c in range(3)]
+    center = [Fraction(-x, det3) for x in num]
+    target = Fraction((n * s - form(c0, c0)) * det3
+                      + sum(u * x for u, x in zip(lin, num)), det3)
     out = []
     for y in qf_solutions(G3, target, center):
         c = [c0[i] + sum(y[r] * K[r][i] for r in range(3)) for i in range(4)]
@@ -106,19 +108,18 @@ def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
     if not out:
         raise ArithmeticError("order contains no element with the target "
                               "characteristic polynomial")
-    return [tuple(Fraction(x, O.den) for x in w) for w in sorted(out)]
+    return sorted(out)
 
 
 def _particular_trace_solution(traces, t: int):
-    """Integer c with sum c_s * traces_s = t (traces are integers here)."""
-    ints = [int(f) for f in traces]
-    g = gcd(*ints)
+    """Integer c with sum c_s * traces_s = t."""
+    g = gcd(*traces)
     if t % g:
         raise ArithmeticError("trace slice is empty")
     # extended gcd over the 4 coefficients
     acc = 0
     acc_coeffs = [0, 0, 0, 0]
-    for idx, x in enumerate(ints):
+    for idx, x in enumerate(traces):
         acc, u, v = _xgcd(acc, x)
         acc_coeffs = [u * c for c in acc_coeffs]
         acc_coeffs[idx] += v
@@ -128,8 +129,7 @@ def _particular_trace_solution(traces, t: int):
 
 def _trace_kernel(traces):
     """Rank-3 integer kernel of the trace linear form."""
-    ints = [[int(f)] for f in traces]
-    k = left_kernel(ints)
+    k = left_kernel([[x] for x in traces])
     if len(k) != 3:
         raise ArithmeticError("trace form kernel has unexpected rank")
     return k
@@ -167,10 +167,8 @@ def optimal_embedding(X: ShimuraSet, D: int, which: int = 0,
     alg, OL, base = X.alg, X.left_orders[idx], X.classes[idx]
     if which == 0:
         return TorusEmbedding(alg, OL, D, cands[0], base, idx)
-    first = cands[0]
-    t = -D % 2
-    conj_first = tuple(-w + (t if c == 0 else 0)
-                       for c, w in enumerate(first))
+    w0, w1, w2, w3 = cands[0]
+    conj_first = (-D % 2 * OL.den - w0, -w1, -w2, -w3)
     for omega in cands[1:]:
         if omega != conj_first:
             return TorusEmbedding(alg, OL, D, omega, base, idx)
@@ -179,12 +177,10 @@ def optimal_embedding(X: ShimuraSet, D: int, which: int = 0,
 
 def special_ideal(emb: TorusEmbedding, form: QuadForm) -> Lattice:
     """The right ideal iota(a) . I_base for the ideal a attached to the form."""
-    gens = emb.ideal_generators(form)
-    den = lcm(*(Fraction(x).denominator for g in gens for x in g))
     B = emb.base_ideal
-    vecs = [emb.alg.mult([int(x * den) for x in g], r)
-            for g in gens for r in B.rows]
-    return Lattice.make(vecs, den * B.den)
+    return Lattice.make([emb.alg.mult(g, r)
+                         for g in emb.ideal_generators(form) for r in B.rows],
+                        emb.order.den * B.den)
 
 
 def special_point(emb: TorusEmbedding, form: QuadForm, X: ShimuraSet) -> int:
@@ -194,7 +190,5 @@ def special_point(emb: TorusEmbedding, form: QuadForm, X: ShimuraSet) -> int:
 
 def phi_map(emb: TorusEmbedding, cg, X: ShimuraSet) -> dict:
     """sigma -> x_sigma over the whole class group (sigma = exponent vector)."""
-    out = {}
-    for sigma in cg.elements():
-        out[sigma] = special_point(emb, cg.decode(sigma), X)
-    return out
+    return {sigma: special_point(emb, form, X)
+            for form, sigma in cg.dlog.items()}

@@ -14,6 +14,7 @@ from math import gcd
 
 import sympy
 
+from .bqf import _squarefree
 from .curves import EllipticCurveData, ap, kronecker
 from .quatalg import ShimuraSet, _vp, tau_permutation
 
@@ -115,11 +116,16 @@ def central_lvalue(curve: EllipticCurveData, D: int = 1, T: int = None,
                    tail_target: float = 1e-6) -> LValue:
     """2 sum_{n <= T} a_n chi_D(n) n^{-1} exp(-2 pi n / sqrt(N D^2)).
 
-    D = 1 gives the curve's own central value; a fundamental D gives the
-    quadratic twist. The tail uses d(n) <= sqrt(3 n), so each term is at
-    most 2 sqrt(3) x^n and the truncation error is below
+    D = 1 gives the curve's own central value; a fundamental D (1 mod 4
+    and squarefree, or 4m with m = 2, 3 mod 4 squarefree) gives the
+    quadratic twist; any other D raises ValueError. The tail uses
+    d(n) <= sqrt(3 n), so each term is at most 2 sqrt(3) x^n and the
+    truncation error is below
     2 sqrt(3) x^(T+1) / (1 - x) with x = exp(-2 pi / sqrt(N D^2)).
     """
+    if not (_squarefree(abs(D)) if D % 4 == 1 else
+            D % 16 in (8, 12) and _squarefree(abs(D) // 4)):
+        raise ValueError(f"{D} is neither 1 nor a fundamental discriminant")
     c = math.sqrt(curve.N * D * D)
     x = math.exp(-2 * math.pi / c)
     coef = 2 * math.sqrt(3)

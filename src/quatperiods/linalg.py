@@ -1,7 +1,7 @@
-"""Exact integer and rational linear algebra plus lattice-point enumeration.
+"""Exact integer linear algebra plus lattice-point enumeration.
 
-Everything here is exact: integer Hermite/Smith forms, Fraction Gaussian
-elimination, Bareiss determinants, and Fincke-Pohst enumeration of the
+Everything here is exact: integer Hermite/Smith forms with their solves and
+kernels, Bareiss determinants, and Fincke-Pohst enumeration of the
 integer vectors in an ellipsoid or shell (Fincke-Pohst, Math. Comp. 44
 (1985); Cohen, GTM 138, Alg. 2.7.5). The enumeration runs on integers only:
 a rational Gram matrix, centre and bound are scaled to integers once, the
@@ -180,25 +180,6 @@ def snf(A):
         if D[i + 1][i + 1] < 0:
             addmul_row(i + 1, i + 1, -2)
     return D, U, V
-
-
-def mat_inv_frac(A):
-    """Inverse of a square matrix with Fraction (or int) entries."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] +
-         [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
 
 
 def int_det(M):

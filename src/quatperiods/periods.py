@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import sympy
+
 from .bqf import ClassGroup, class_group_structure, is_fundamental
 from .charfield import (
     Character,
@@ -29,6 +31,7 @@ from .charfield import (
 )
 from .curves import kronecker
 from .embeddings import embedding_search, optimal_embedding, phi_map
+from .ledger import excluded_primes
 from .quatalg import (
     Eigenform,
     ShimuraSet,
@@ -92,6 +95,10 @@ class PeriodPipeline:
     def __init__(self, curve, p: int, primes=(2, 3, 5, 7, 13), X=None):
         self.curve = curve
         self.q = curve.N
+        bad = excluded_primes(curve)        # contains 2, 3 and q
+        if p in bad or not sympy.isprime(p):
+            raise ValueError(f"p = {p} must be a prime outside "
+                             f"{sorted(bad)}")
         self.p = p
         if X is None:
             alg = build_algebra(self.q)

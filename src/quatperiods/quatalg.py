@@ -9,8 +9,9 @@ row-Hermite basis over one common denominator, and lattice arithmetic runs
 on those integer rows: a product multiplies the rows of its factors and
 takes the product of the denominators, a Gram matrix is an integer matrix
 with the scale den^2, a discriminant is a Bareiss determinant of the
-integer trace form. Rationals appear only where a result leaves the
-lattice layer (`Lattice.vectors`, `Lattice.gram`, `Lattice.norm`).
+integer trace form. A quaternion outside a lattice is likewise a tuple of
+integer numerators over a denominator the caller carries. The one rational
+a lattice returns is its reduced norm (`Lattice.norm`).
 """
 
 from __future__ import annotations
@@ -155,34 +156,20 @@ class Lattice:
                 g = gcd(g, x)
         return Lattice(tuple(tuple(x // g for x in r) for r in basis), den // g)
 
-    @staticmethod
-    def from_vectors(vecs) -> "Lattice":
-        den = 1
-        for v in vecs:
-            for x in v:
-                den = lcm(den, Fraction(x).denominator)
-        rows = [[int(Fraction(x) * den) for x in v] for v in vecs]
-        return Lattice.make(rows, den)
-
-    def vectors(self):
-        return [tuple(Fraction(x, self.den) for x in r) for r in self.rows]
-
     def contains(self, vec, den: int = 1) -> bool:
         return self.coordinates(vec, den) is not None
 
     def coordinates(self, vec, den: int = 1):
-        """Integer coordinates of vec/den in the basis, or None when vec/den
-        is not in the lattice."""
-        scaled = [Fraction(x * self.den, den) for x in vec]
-        if any(f.denominator != 1 for f in scaled):
+        """Integer coordinates of vec/den (vec integer) in the basis, or
+        None when vec/den is not in the lattice."""
+        scaled = [x * self.den for x in vec]
+        if any(x % den for x in scaled):
             return None
         return hnf_solve([list(r) for r in self.rows],
-                         [int(f) for f in scaled])
+                         [x // den for x in scaled])
 
-    def scale(self, c) -> "Lattice":
-        c = Fraction(c)
-        return Lattice.make([[x * c.numerator for x in r] for r in self.rows],
-                            self.den * c.denominator)
+    def scale(self, c: int) -> "Lattice":
+        return Lattice.make([[x * c for x in r] for r in self.rows], self.den)
 
     def product(self, other: "Lattice", alg: QuaternionAlgebra) -> "Lattice":
         return Lattice.make([alg.mult(u, v)
@@ -201,11 +188,6 @@ class Lattice:
         G = [[sum(w[t] * u[t] * v[t] for t in range(4)) for v in R]
              for u in R]
         return G, self.den * self.den
-
-    def gram(self, alg: QuaternionAlgebra):
-        """G with nrd(sum c_i b_i) = c G c^T (Fraction entries)."""
-        G, s = self.int_gram(alg)
-        return [[Fraction(x, s) for x in r] for r in G]
 
     def norm(self, alg: QuaternionAlgebra) -> Fraction:
         """The reduced norm of the lattice: content of its norm form."""
@@ -472,9 +454,6 @@ class Eigenform:
     coords: tuple
     eigenvalues: dict
     weights: tuple
-
-    def value(self, idx: int) -> int:
-        return self.coords[idx]
 
 
 def eigenform(X: ShimuraSet, curve, p: int, primes=(2, 3, 5, 7, 13)) -> Eigenform:

@@ -218,9 +218,10 @@ def test_criterion_07_cocycle():
             for tt in cg.elements():
                 st = tuple((a + b) % n
                            for a, b, n in zip(s, tt, cg.orders))
-                vecs = [alg.mult(g, v) for g in gens
-                        for v in ideals[tt].vectors()]
-                assert X.classify(Lattice.from_vectors(vecs)) == classes[st]
+                I = ideals[tt]
+                prod = Lattice.make([alg.mult(g, v) for g in gens
+                                     for v in I.rows], emb.order.den * I.den)
+                assert X.classify(prod) == classes[st]
     finish("criterion 7 (special-point cocycle)", t0, 600)
 
 

@@ -183,6 +183,32 @@ def test_cli_brandt_nonpositive_n_exits_2(tmp_path, capsys, n):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["periods", "--d", "-23", "--p", "4"],       # not a prime
+    ["periods", "--d", "-23", "--p", "5"],       # an excluded prime of 11a1
+    ["periods", "--d", "-23", "--p", "11"],      # p = q
+    ["stability", "--orders", "0", "--q", "5"],
+    ["stability", "--orders", "-2", "--q", "5"],
+    ["lvalue", "--d", "-28"],                    # not fundamental
+    ["lvalue", "--d", "0"],
+])
+def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("TPL_CACHE", str(tmp_path / "cache"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("precondition violated: ")
+    assert "Traceback" not in captured.err
+
+
+def test_cli_stability_orders_need_not_form_a_chain(capsys):
+    code, out = run_cli(capsys, "stability", "--orders", "6,2", "--q", "5")
+    assert code == 0
+    code2, out2 = run_cli(capsys, "stability", "--orders", "2,6", "--q", "5")
+    assert code2 == 0
+    assert json.loads(out)["minimum"] == json.loads(out2)["minimum"] == 3
+
+
 def test_cache_dir_precedence(tmp_path, monkeypatch):
     monkeypatch.delenv("TPL_CACHE", raising=False)
     assert resolve_cache_dir(None, {}) == "cache"

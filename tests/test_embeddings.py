@@ -18,7 +18,7 @@ from quatperiods.embeddings import (
     special_point,
 )
 from quatperiods.embeddings import _particular_trace_solution, _trace_kernel
-from quatperiods.linalg import mat_inv_frac, qf_solutions
+from quatperiods.linalg import qf_solutions
 from quatperiods.quatalg import (
     Lattice,
     build_algebra,
@@ -39,32 +39,45 @@ def representation_count(L, alg, D):
     """#{x in L : trd(x) = D mod 2, nrd(x) = (t^2 - D)/4} by enumeration."""
     t = -D % 2
     n = (t * t - D) // 4
-    vs = L.vectors()
-    traces = [Fraction(alg.trd(v)) for v in vs]
+    traces = [alg.trd(r) // L.den for r in L.rows]
     c0 = _particular_trace_solution(traces, t)
     K = _trace_kernel(traces)
-    G = L.gram(alg)
+    Gint, scale = L.int_gram(alg)
+    G = [[Fraction(x, scale) for x in r] for r in Gint]
     G3 = [[sum(K[r][i] * G[i][j] * K[s][j] for i in range(4)
                for j in range(4)) for s in range(3)] for r in range(3)]
     lin = [sum(K[r][i] * G[i][j] * c0[j] for i in range(4) for j in range(4))
            for r in range(3)]
-    Gi = mat_inv_frac(G3)
-    yc = [-sum(Gi[r][s] * lin[s] for s in range(3)) for r in range(3)]
+    yc = [-x for x in fraction_solve(G3, lin)]
     base = sum(c0[i] * G[i][j] * c0[j] for i in range(4) for j in range(4)) \
         + sum(lin[r] * yc[r] for r in range(3))
     return len(qf_solutions(G3, Fraction(n) - base, yc))
 
 
+def fraction_solve(A, b):
+    """x with A x = b, by Gauss-Jordan elimination over the rationals."""
+    n = len(A)
+    M = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col])
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [x / M[col][col] for x in M[col]]
+        for r in range(n):
+            if r != col:
+                M[r] = [x - M[r][col] * y for x, y in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
 def test_embedding_minus_23():
     emb = optimal_embedding(X11, -23)
     assert emb.t == 1 and emb.n == 6
-    assert X11.alg.trd(emb.omega) == 1
-    assert X11.alg.nrd(emb.omega) == 6
-    assert emb.order.contains(emb.omega)
-    # sqrt(D)^2 = D
-    s = emb.sqrt_D()
-    sq = X11.alg.mult(s, s)
-    assert sq == (Fraction(-23), Fraction(0), Fraction(0), Fraction(0))
+    w, d = emb.omega, emb.order.den          # omega = w / d
+    assert X11.alg.trd(w) == 1 * d
+    assert X11.alg.nrd(w) == 6 * d * d
+    assert emb.order.contains(w, d)
+    # sqrt(D) = 2 omega - t squares to D
+    s = (2 * w[0] - emb.t * d, 2 * w[1], 2 * w[2], 2 * w[3])
+    assert X11.alg.mult(s, s) == (-23 * d * d, 0, 0, 0)
 
 
 def test_split_discriminant_rejected():
@@ -87,7 +100,7 @@ def test_second_embedding_differs():
     e1 = optimal_embedding(X11, -23)
     e2 = optimal_embedding(X11, -23, which=1)
     assert e1.omega != e2.omega
-    assert X11.alg.nrd(e2.omega) == e1.n
+    assert X11.alg.nrd(e2.omega) == e1.n * e2.order.den ** 2
 
 
 def test_principal_class_maps_to_base():
@@ -135,9 +148,10 @@ def test_cocycle_property():
             for t in cg.elements():
                 st = tuple((a + b) % n
                            for a, b, n in zip(s, t, cg.orders))
-                vecs = [alg.mult(g, v) for g in gens
-                        for v in ideals[t].vectors()]
-                assert X11.classify(Lattice.from_vectors(vecs)) == classes[st]
+                I = ideals[t]
+                prod = Lattice.make([alg.mult(g, v) for g in gens
+                                     for v in I.rows], emb.order.den * I.den)
+                assert X11.classify(prod) == classes[st]
 
 
 def test_fibers_match_representation_numbers():

@@ -126,6 +126,13 @@ def test_p_dividing_class_number_rejected():
         FieldEmbedding(7, 14)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, 5, 9, 11])
+def test_pipeline_rejects_p(p):
+    # p must be an odd prime outside excluded_primes(11a1) = {2, 3, 5, 11}
+    with pytest.raises(ValueError):
+        PeriodPipeline(curve_11a1(), p, X=PIPE.X)
+
+
 def test_skip_reasons():
     assert PIPE.skip_reason(-20) == ""  # 4 * -5? no: -20 = 4*(-5), fundamental
     assert PIPE.skip_reason(-12) == "non-fundamental"

@@ -1,16 +1,19 @@
 """Property tests for the integer lattice core: Fincke-Pohst enumeration
 against brute force over a box, integer lattice products and Gram matrices
-against a Fraction reference, and the Bareiss determinant and LDL against
-their definitions."""
+against a Fraction reference, the Bareiss determinant and LDL against
+their definitions, Hermite and Smith forms against their defining
+properties, and class groups against their discrete logarithm."""
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatperiods.linalg import int_det, ldl, qf_enumerate, qf_solutions
+from quatperiods.bqf import class_group_structure, compose, is_fundamental
+from quatperiods.linalg import (hnf, hnf_solve, int_det, ldl, qf_enumerate,
+                                qf_solutions, snf)
 from quatperiods.quatalg import Lattice, build_algebra
 
 small = st.integers(-3, 3)
@@ -132,13 +135,27 @@ def lattice(draw):
     return Lattice.make(rows, draw(st.integers(1, 6)))
 
 
+def fraction_vectors(L):
+    return [tuple(Fraction(x, L.den) for x in r) for r in L.rows]
+
+
+def lattice_of(vecs):
+    """The lattice spanned by rational vectors, over their common
+    denominator."""
+    den = 1
+    for v in vecs:
+        for x in v:
+            den = lcm(den, Fraction(x).denominator)
+    return Lattice.make([[int(x * den) for x in v] for v in vecs], den)
+
+
 def reference_product(A, B, alg):
-    return Lattice.from_vectors([alg.mult(u, v) for u in A.vectors()
-                                 for v in B.vectors()])
+    return lattice_of([alg.mult(u, v) for u in fraction_vectors(A)
+                       for v in fraction_vectors(B)])
 
 
 def reference_gram(L, alg):
-    vs = L.vectors()
+    vs = fraction_vectors(L)
     return [[Fraction(alg.trd(alg.mult(u, alg.conj(v))), 2) for v in vs]
             for u in vs]
 
@@ -147,8 +164,8 @@ def reference_gram(L, alg):
 @given(lattice(), lattice(), st.sampled_from(ALGEBRAS))
 def test_integer_product_matches_fraction_reference(A, B, alg):
     assert A.product(B, alg) == reference_product(A, B, alg)
-    assert A.conjugate() == Lattice.from_vectors(
-        [alg.conj(v) for v in A.vectors()])
+    assert A.conjugate() == lattice_of(
+        [alg.conj(v) for v in fraction_vectors(A)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,9 +174,78 @@ def test_integer_gram_matches_fraction_reference(L, alg):
     G, s = L.int_gram(alg)
     ref = reference_gram(L, alg)
     assert [[Fraction(x, s) for x in r] for r in G] == ref
-    assert L.gram(alg) == ref
     vals = [ref[i][i] for i in range(4)] + \
         [2 * ref[i][j] for i in range(4) for j in range(i + 1, 4)]
     ratios = [v / L.norm(alg) for v in vals]
     assert all(r.denominator == 1 for r in ratios)
     assert gcd(*(r.numerator for r in ratios)) == 1
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(r, c)) for c in zip(*B)] for r in A]
+
+
+matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda mn: st.lists(st.lists(st.integers(-9, 9), min_size=mn[1],
+                                 max_size=mn[1]),
+                        min_size=mn[0], max_size=mn[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_snf_is_a_unimodular_diagonalisation(A):
+    D, U, V = snf(A)
+    assert matmul(matmul(U, A), V) == D
+    assert int_det(U) in (1, -1) and int_det(V) in (1, -1)
+    m, n = len(A), len(A[0])
+    assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [D[i][i] for i in range(min(m, n))]
+    assert all(d >= 0 for d in diag)
+    # d_1 | d_2 | ...: a zero is followed only by zeros
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary row operations: swaps, sign flips, shears."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["swap", "neg", "add"]))
+        if kind == "swap":
+            U[i], U[j] = U[j], U[i]
+        elif kind == "neg":
+            U[i] = [-x for x in U[i]]
+        elif i != j:
+            c = draw(st.integers(-3, 3))
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+    return U
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices.flatmap(lambda A: st.tuples(st.just(A),
+                                             unimodular(len(A)))))
+def test_hnf_is_a_canonical_basis(case):
+    A, U = case
+    H = hnf(A)
+    assert hnf(H) == H
+    assert hnf(matmul(U, A)) == H
+    for row in A:
+        c = hnf_solve(H, row)
+        assert c is not None
+        assert [sum(ci * h[k] for ci, h in zip(c, H))
+                for k in range(len(row))] == row
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 3000).map(lambda n: -n).filter(is_fundamental),
+       st.data())
+def test_class_group_discrete_log(D, data):
+    cg = class_group_structure(D)
+    k = len(cg.orders)
+    for j, (g, _) in enumerate(cg.factors):
+        assert cg.dlog[g] == tuple(int(i == j) for i in range(k))
+    f = data.draw(st.sampled_from(cg.forms))
+    g = data.draw(st.sampled_from(cg.forms))
+    assert cg.encode(compose(f, g)) == tuple(
+        (a + b) % n for a, b, n in zip(cg.encode(f), cg.encode(g), cg.orders))

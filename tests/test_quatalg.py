@@ -71,19 +71,17 @@ def test_maximal_order_certificates():
         O = maximal_order(alg)
         assert O.reduced_discriminant(alg) == q
         assert is_order(O, alg)
-        vs = O.vectors()
-        for u in vs:
-            for v in vs:
-                assert O.contains(alg.mult(u, v))
+        for u in O.rows:
+            for v in O.rows:
+                assert O.contains(alg.mult(u, v), O.den ** 2)
 
 
 def test_maximal_order_q11_contains_classical_basis():
     alg = build_algebra(11)
     O = maximal_order(alg)
-    half = Fraction(1, 2)
-    for v in ((1, 0, 0, 0), (0, 1, 0, 0),
-              (half, 0, half, 0), (0, half, 0, half)):
-        assert O.contains(v)
+    # 1, i, (1 + j)/2, (i + k)/2 as numerators over 2
+    for v in ((2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)):
+        assert O.contains(v, 2)
 
 
 def test_mass_formula_small_primes():
@@ -148,9 +146,9 @@ def test_brandt_family_matches_single_matrices():
     for i in range(X.H):
         for j in range(X.H):
             I, J = X.classes[i], X.classes[j]
-            G = I.product(J.conjugate(), X.alg).gram(X.alg)
+            G, scale = I.product(J.conjugate(), X.alg).int_gram(X.alg)
             for n in range(1, 9):
-                target = n * I.norm(X.alg) * J.norm(X.alg)
+                target = n * I.norm(X.alg) * J.norm(X.alg) * scale
                 cnt = len([s for s in qf_solutions(G, target) if any(s)])
                 assert fam[n][i][j] * 2 * X.weights[j] == cnt
     assert all(fam[n] == brandt_matrix(X, n) for n in (1, 5, 8))
@@ -165,8 +163,8 @@ def test_theta_series_diagonal():
         B = brandt_matrix(X, n)
         for j in range(X.H):
             OL = X.left_orders[j]
-            direct = len([s for s in qf_solutions(OL.gram(X.alg), n)
-                          if any(s)])
+            G, scale = OL.int_gram(X.alg)
+            direct = len([s for s in qf_solutions(G, n * scale) if any(s)])
             assert 2 * X.weights[j] * B[j][j] == direct
 
 
