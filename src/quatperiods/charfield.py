@@ -1,13 +1,13 @@
-"""Characters of finite abelian groups with exact cyclotomic values and
-finite-field realizations.
+"""Characters of finite abelian groups and their reduction into F_{p^k}.
 
 A character of a group with invariant factors n_1 | ... | n_d is an exponent
-vector; its values live in Z[zeta_n] for n = n_d and, after reducing through
+vector; its values are powers of zeta_n for n = n_d. An element
+sum_i c_i zeta^i of Z[zeta_n] is held as its integer coefficient array, and
 a deterministic embedding into the field of size p^k (k the order of p mod
-n), in that finite field. The module also provides the enumeration of
-a finite abelian group and its subgroup closure, Galois orbits of
-characters under chi -> chi^q0, and the stable-generating-set machinery
-for Galois-stable subsets of the dual group.
+n) maps it to F_p[x]/(g) by one polynomial remainder mod (g, p). The module
+also provides the enumeration of a finite abelian group and its subgroup
+closure, Galois orbits of characters under chi -> chi^q0, and the
+stable-generating-set machinery for Galois-stable subsets of the dual group.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -23,7 +22,7 @@ import sympy
 
 
 # ---------------------------------------------------------------------------
-# exact cyclotomic integers
+# the deterministic embedding iota_p : Z[zeta_n] -> F_{p^k}
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple:
@@ -34,163 +33,14 @@ def cyclotomic_coeffs(n: int) -> tuple:
     return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
-def euler_phi(n: int) -> int:
-    return int(sympy.totient(n))
-
-
-def _reduce_poly(coeffs: list, n: int) -> tuple:
-    """Reduce an integer polynomial modulo the n-th cyclotomic polynomial."""
-    mod = cyclotomic_coeffs(n)
-    deg = len(mod) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j in range(deg + 1):
-                work[i - deg + j] -= c * mod[j]
-    work = work[:deg]
-    work += [0] * (deg - len(work))
-    return tuple(work)
-
-
-@dataclass(frozen=True)
-class CycloInt:
-    """Element of Z[zeta_n] on the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
-
-    n: int
-    coeffs: tuple
-
-    @staticmethod
-    def zero(n: int) -> "CycloInt":
-        return CycloInt(n, (0,) * euler_phi(n))
-
-    @staticmethod
-    def one(n: int) -> "CycloInt":
-        return CycloInt.from_int(n, 1)
-
-    @staticmethod
-    def from_int(n: int, c: int) -> "CycloInt":
-        return CycloInt(n, (c,) + (0,) * (euler_phi(n) - 1))
-
-    @staticmethod
-    def zeta_power(n: int, e: int) -> "CycloInt":
-        e %= n
-        return CycloInt(n, _reduce_poly([0] * e + [1], n))
-
-    def __add__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other) -> "CycloInt":
-        if isinstance(other, int):
-            return CycloInt(self.n, tuple(other * a for a in self.coeffs))
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        return CycloInt(self.n, _reduce_poly(prod, self.n))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(self.n, tuple(-a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _check(self, other: "CycloInt") -> None:
-        if self.n != other.n:
-            raise ValueError("cyclotomic levels differ")
-
-
-# ---------------------------------------------------------------------------
-# finite fields F_{p^k} as polynomial quotients
-
-class FiniteField:
-    """F_{p^k} = F_p[x]/(modulus); elements are coefficient tuples of length k."""
-
-    def __init__(self, p: int, modulus: tuple):
-        self.p = p
-        self.modulus = tuple(c % p for c in modulus)
-        if self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        self.k = len(modulus) - 1
-        self.zero = (0,) * self.k
-        self.one = ((1,) + (0,) * (self.k - 1)) if self.k else ()
-        self.x = (tuple(int(i == 1) for i in range(self.k)) if self.k > 1
-                  else ((-self.modulus[0]) % p,))
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.k
-
-    def element(self, c: int) -> tuple:
-        return ((c % self.p,) + (0,) * (self.k - 1))
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        p, k, mod = self.p, self.k, self.modulus
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k + 1):
-                    prod[i - k + j] -= c * mod[j]
-        return tuple(prod[i] % p for i in range(k))
-
-    def pow(self, a: tuple, e: int) -> tuple:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = self.one
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
-
-    def inv(self, a: tuple) -> tuple:
-        if a == self.zero:
-            raise ZeroDivisionError("inversion of zero field element")
-        return self.pow(a, self.size - 2)
-
-    def mult_order(self, a: tuple) -> int:
-        if a == self.zero:
-            raise ZeroDivisionError("order of zero")
-        m = self.size - 1
-        order = m
-        for q, _ in sympy.factorint(m).items():
-            while order % q == 0 and self.pow(a, order // q) == self.one:
-                order //= q
-        return order
-
-
-# ---------------------------------------------------------------------------
-# the deterministic embedding iota_p : Z[zeta_n] -> F_{p^k}
-
 class FieldEmbedding:
     """A fixed prime above p in Q(zeta_n), realized as a reduction map.
 
     The target field is F_p[x]/(g) where g is the lexicographically smallest
     (coefficients compared low-to-high, normalized to 0..p-1) monic
     irreducible factor of the n-th cyclotomic polynomial mod p, and zeta_n
-    maps to the class of x. Choosing a root of the cyclotomic polynomial
-    itself keeps the map a ring homomorphism on Z[zeta_n] by construction,
+    maps to the class of x. Since g divides x^n - 1 mod p, reducing integer
+    polynomials mod (g, p) is a ring homomorphism Z[x]/(x^n - 1) -> F_{p^k},
     and the lexicographic choice makes (p, n) -> embedding deterministic.
     """
 
@@ -201,25 +51,18 @@ class FieldEmbedding:
         self.n = n
         self.k = 1 if n <= 2 else int(sympy.n_order(p, n))
         self.modulus = _smallest_cyclotomic_factor(p, n, self.k)
-        self.field = FiniteField(p, self.modulus)
-        self.zeta_image = self.field.x if self.k > 1 else self.field.element(
-            -self.modulus[0])
-        # zeta powers cover the whole power basis of Z[zeta_n]
-        phi = euler_phi(n)
-        pows = [self.field.one]
-        for _ in range(phi - 1):
-            pows.append(self.field.mul(pows[-1], self.zeta_image))
-        self._zeta_pows = pows
 
-    def reduce(self, c: CycloInt) -> tuple:
-        if c.n != self.n:
-            raise ValueError("cyclotomic level mismatch")
-        F = self.field
-        acc = F.zero
-        for coeff, zp in zip(c.coeffs, self._zeta_pows):
-            if coeff % self.p:
-                acc = F.add(acc, F.mul(F.element(coeff), zp))
-        return acc
+    def reduce(self, coeffs) -> tuple:
+        """Image of sum_i coeffs[i] zeta^i: the remainder of the integer
+        polynomial mod (g, p), as a tuple of length k."""
+        p, k, g = self.p, self.k, self.modulus
+        work = list(coeffs) + [0] * (k - len(coeffs))
+        for i in range(len(work) - 1, k - 1, -1):
+            c = work[i] % p
+            if c:
+                for j in range(k):
+                    work[i - k + j] -= c * g[j]
+        return tuple(c % p for c in work[:k])
 
 
 @lru_cache(maxsize=None)
@@ -269,12 +112,6 @@ class Character:
     def inverse(self) -> "Character":
         return self.power(-1)
 
-    def times(self, other: "Character") -> "Character":
-        return Character(tuple((a + b) % n for a, b, n in
-                               zip(self.exponents, other.exponents,
-                                   self.group_orders)),
-                         self.group_orders)
-
     def pairing_exponent(self, sigma: tuple) -> int:
         """e with chi(sigma) = zeta_n^e, n the group exponent."""
         n = self.level
@@ -319,16 +156,6 @@ def subgroup_closure(base: frozenset, gens, orders) -> frozenset:
     return frozenset(out)
 
 
-def eval_char(chi: Character, sigma: tuple, emb: FieldEmbedding):
-    """Exact cyclotomic value of chi(sigma) and its finite-field image."""
-    n = chi.level
-    if emb.n != n:
-        raise ValueError("embedding level does not match character level")
-    t = chi.pairing_exponent(sigma)
-    exact = CycloInt.zeta_power(n, t)
-    return exact, emb.field.pow(emb.zeta_image, t)
-
-
 # ---------------------------------------------------------------------------
 # Galois orbits and the stability bound
 
@@ -360,16 +187,6 @@ def stability_bound(divisors, q: int) -> int:
         if gcd(q, n) != 1:
             raise ValueError(f"gcd(q, {n}) != 1")
         total += 1 if n <= 2 else int(sympy.n_order(q, n))
-    return total
-
-
-def stability_bound_weak(divisors, q: int) -> Fraction:
-    """The weaker sum of phi(n_i)/(n_i, q-1), reported as an exact rational."""
-    total = Fraction(0)
-    for n in divisors:
-        if gcd(q, n) != 1:
-            raise ValueError(f"gcd(q, {n}) != 1")
-        total += Fraction(euler_phi(n), gcd(n, q - 1))
     return total
 
 
@@ -489,6 +306,3 @@ def min_stable_generating_set(divisors, q: int, bound: int = 64):
             return target, witness
     raise ArithmeticError("dual group not generated by any stable subset")
 
-
-def min_stable_generating_size(divisors, q: int, bound: int = 64) -> int:
-    return min_stable_generating_set(divisors, q, bound)[0]

@@ -23,7 +23,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .bqf import class_group_structure, is_fundamental
+from .bqf import check_fundamental, class_group_structure, is_fundamental
 from .cache import (Cache, CacheBusy, get_brandt, get_shimura_set,
                     resolve_cache_dir)
 from .charfield import (
@@ -42,10 +42,12 @@ from .ledger import (
 )
 from .periods import (
     PeriodPipeline,
+    check_prime,
     equidist_stats,
     horizontal_scan,
     scan_summary,
 )
+from .quatalg import build_algebra
 
 
 class ConfigError(ValueError):
@@ -100,12 +102,20 @@ def make_curve(q: int):
                       "only conductor 11 ships with the package")
 
 
-def build_pipeline(args, config) -> PeriodPipeline:
+def build_pipeline(args, config, check_d=None) -> PeriodPipeline:
+    """The pipeline for the configured q and p. q, p and, through
+    check_d(D), the discriminant are validated before the cache is opened,
+    so a rejected request leaves the cache untouched."""
     q = setting(args, config, "q", 11)
     p = setting(args, config, "p", 7)
+    build_algebra(q)        # a q that is not an odd prime exits 2 first
+    curve = make_curve(q)
+    check_prime(curve, p)
+    if check_d is not None:
+        check_d(setting(args, config, "d"))
     cache = Cache(resolve_cache_dir(getattr(args, "cache_dir", None), config))
     X = get_shimura_set(cache, q)
-    return PeriodPipeline(make_curve(q), p, X=X)
+    return PeriodPipeline(curve, p, X=X)
 
 
 def emit(payload: dict):
@@ -143,7 +153,7 @@ def cmd_eigenform(args, config):
 
 
 def cmd_special_points(args, config):
-    pipe = build_pipeline(args, config)
+    pipe = build_pipeline(args, config, check_d=check_fundamental)
     D = setting(args, config, "d")
     cg = class_group_structure(D)
     pm = phi_map(optimal_embedding(pipe.X, D), cg, pipe.X)
@@ -151,8 +161,15 @@ def cmd_special_points(args, config):
           "points": {",".join(map(str, s)): x for s, x in sorted(pm.items())}})
 
 
+def check_row_fundamental(D: int) -> None:
+    """The row's skip message for a non-fundamental D, which needs no
+    pipeline to detect."""
+    if not is_fundamental(D):
+        raise PreconditionError(f"D = {D} skipped: non-fundamental")
+
+
 def cmd_periods(args, config):
-    pipe = build_pipeline(args, config)
+    pipe = build_pipeline(args, config, check_d=check_row_fundamental)
     D = setting(args, config, "d")
     reason = pipe.skip_reason(D)
     if reason:

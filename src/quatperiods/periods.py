@@ -3,10 +3,11 @@ characters, their mod-p non-vanishing counts, horizontal scans over
 discriminants, and equidistribution statistics of special points.
 
 For a class group of exponent n the period of the character chi is
-    P(chi) = h^{-1} sum_sigma chi(sigma)^{-1} f(x_sigma),
-held exactly as h.P in Z[zeta_n] and reduced through the deterministic
-embedding into F_{p^k}. The non-vanishing count ell_K is the number of
-characters whose reduction is a unit, and the set of those characters is
+    P(chi) = h^{-1} sum_sigma chi(sigma)^{-1} f(x_sigma).
+It is accumulated as the integer coefficient array of h.P on
+1, zeta, ..., zeta^(n-1) and reduced into F_{p^k} by the deterministic
+embedding's one remainder map. The non-vanishing count ell_K is the number
+of characters whose reduction is a unit, and the set of those characters is
 checked to be stable under chi -> chi^{q0}.
 """
 
@@ -21,9 +22,7 @@ import sympy
 from .bqf import ClassGroup, class_group_structure, is_fundamental
 from .charfield import (
     Character,
-    CycloInt,
     FieldEmbedding,
-    _reduce_poly,
     character_group,
     galois_orbits,
     group_elements,
@@ -45,12 +44,11 @@ from .quatalg import (
 @dataclass(frozen=True)
 class ToricPeriod:
     chi: Character
-    exact: CycloInt          # h . P(chi), an exact cyclotomic integer
-    modp: tuple              # P(chi) in the finite field
+    modp: tuple              # P(chi) in F_p[x]/(g), k coefficients mod p
     vzero: bool              # True when the reduction is a unit
 
     def __post_init__(self):
-        if self.vzero != (self.modp != tuple([0] * len(self.modp))):
+        if self.vzero != any(self.modp):
             raise ArithmeticError("vzero disagrees with the reduction")
 
 
@@ -67,10 +65,9 @@ def toric_period(f: Eigenform, phi: dict, chi: Character,
     cyc = [0] * n
     for sigma, idx in phi.items():
         cyc[chinv.pairing_exponent(sigma)] += f.coords[idx]
-    exact = CycloInt(n, _reduce_poly(cyc, n))
-    F = emb.field
-    modp = F.mul(emb.reduce(exact), F.inv(F.element(h)))
-    return ToricPeriod(chi, exact, modp, modp != F.zero)
+    hinv = pow(h, -1, emb.p)
+    modp = emb.reduce([c * hinv for c in cyc])
+    return ToricPeriod(chi, modp, any(modp))
 
 
 @dataclass
@@ -89,16 +86,21 @@ class ScanRow:
         return self.reason == ""
 
 
+def check_prime(curve, p: int) -> None:
+    """Reject p unless it is a prime outside excluded_primes(curve), which
+    contains 2, 3 and q."""
+    bad = excluded_primes(curve)
+    if p in bad or not sympy.isprime(p):
+        raise ValueError(f"p = {p} must be a prime outside {sorted(bad)}")
+
+
 class PeriodPipeline:
     """Fixed (q, curve, p): Shimura set, eigenform, and per-D period rows."""
 
     def __init__(self, curve, p: int, primes=(2, 3, 5, 7, 13), X=None):
         self.curve = curve
         self.q = curve.N
-        bad = excluded_primes(curve)        # contains 2, 3 and q
-        if p in bad or not sympy.isprime(p):
-            raise ValueError(f"p = {p} must be a prime outside "
-                             f"{sorted(bad)}")
+        check_prime(curve, p)
         self.p = p
         if X is None:
             alg = build_algebra(self.q)
@@ -172,18 +174,19 @@ class PeriodPipeline:
                        log_bound)
 
     def _fourier_check(self, pers: dict, phi: dict, emb: FieldEmbedding):
-        """Inverse transform of the periods must reproduce sigma -> f(x_sigma)."""
-        F = emb.field
-        n = emb.n
-        zpows = [F.one]
-        for _ in range(n - 1):
-            zpows.append(F.mul(zpows[-1], emb.zeta_image))
+        """Inverse transform of the periods must reproduce sigma -> f(x_sigma).
+
+        sum_chi P(chi) chi(sigma) is summed on coefficient arrays, where
+        multiplying by chi(sigma) = zeta^e shifts by e, and reduced once."""
+        size = emb.n + emb.k
+        nonzero = [(chi, P.modp) for chi, P in pers.items() if P.vzero]
         for sigma, idx in phi.items():
-            acc = F.zero
-            for chi, P in pers.items():
-                acc = F.add(acc, F.mul(P.modp,
-                                       zpows[chi.pairing_exponent(sigma)]))
-            if acc != F.element(self.f.coords[idx]):
+            acc = [0] * size
+            for chi, modp in nonzero:
+                e = chi.pairing_exponent(sigma)
+                for i, c in enumerate(modp):
+                    acc[e + i] += c
+            if emb.reduce(acc) != emb.reduce([self.f.coords[idx]]):
                 raise ArithmeticError("Fourier inversion failed on a row")
 
     def trivial_period_sum(self, D: int) -> int:

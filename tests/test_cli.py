@@ -201,6 +201,34 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["periods", "--d", "-23", "--p", "4"],
+     "p = 4 must be a prime outside [2, 3, 5, 11]"),
+    (["eigenform", "--p", "9"], "p = 9 must be a prime outside [2, 3, 5, 11]"),
+    (["periods", "--d", "-23", "--q", "4", "--p", "4"],
+     "q must be an odd prime"),
+    (["scan", "--dmax", "50", "--p", "5"],
+     "p = 5 must be a prime outside [2, 3, 5, 11]"),
+    (["periods", "--d", "-28"], "D = -28 skipped: non-fundamental"),
+    (["periods", "--d", "0"], "D = 0 skipped: non-fundamental"),
+    (["special-points", "--d", "-28"], "-28 is not a fundamental discriminant"),
+    (["special-points", "--d", "-44"], "-44 is not a fundamental discriminant"),
+    (["special-points", "--d", "0"], "0 is not a fundamental discriminant"),
+    (["special-points", "--d", "5"], "5 is not a fundamental discriminant"),
+], ids=["periods-p4", "eigenform-p9", "periods-q4", "scan-p5", "periods-d-28", "periods-d0",
+        "special-points-d-28", "special-points-d-44", "special-points-d0",
+        "special-points-d5"])
+def test_cli_rejects_input_before_opening_the_cache(tmp_path, capsys,
+                                                    monkeypatch, argv, err):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("TPL_CACHE", str(cache_dir))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"precondition violated: {err}\n"
+    assert not cache_dir.exists()
+
+
 def test_cli_stability_orders_need_not_form_a_chain(capsys):
     code, out = run_cli(capsys, "stability", "--orders", "6,2", "--q", "5")
     assert code == 0

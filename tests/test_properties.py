@@ -2,19 +2,29 @@
 against brute force over a box, integer lattice products and Gram matrices
 against a Fraction reference, the Bareiss determinant and LDL against
 their definitions, Hermite and Smith forms against their defining
-properties, and class groups against their discrete logarithm."""
+properties, and class groups against their discrete logarithm. Also:
+reduction of binary quadratic forms, the remainder map Z[x] -> F_{p^k} of
+a field embedding against the reference arithmetic of fieldref, and the
+character transform's round trip on random functions on a finite abelian
+group."""
 
 import itertools
+import math
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatperiods.bqf import class_group_structure, compose, is_fundamental
+import fieldref
+from quatperiods.bqf import (QuadForm, class_group_structure, compose,
+                             is_fundamental)
+from quatperiods.charfield import FieldEmbedding, character_group
 from quatperiods.linalg import (hnf, hnf_solve, int_det, ldl, qf_enumerate,
                                 qf_solutions, snf)
-from quatperiods.quatalg import Lattice, build_algebra
+from quatperiods.periods import PeriodPipeline, toric_period
+from quatperiods.quatalg import Eigenform, Lattice, build_algebra
 
 small = st.integers(-3, 3)
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -249,3 +259,118 @@ def test_class_group_discrete_log(D, data):
     g = data.draw(st.sampled_from(cg.forms))
     assert cg.encode(compose(f, g)) == tuple(
         (a + b) % n for a, b, n in zip(cg.encode(f), cg.encode(g), cg.orders))
+
+
+# ---------------------------------------------------------------------------
+# reduction of positive definite binary quadratic forms
+
+@st.composite
+def definite_form(draw):
+    a = draw(st.integers(1, 60))
+    c = draw(st.integers(1, 60))
+    r = isqrt(4 * a * c - 1)            # b^2 < 4ac
+    return QuadForm(a, draw(st.integers(-r, r)), c)
+
+
+def act(f, M):
+    """f(alpha x + beta y, gamma x + delta y) for M = [[alpha, beta],
+    [gamma, delta]]."""
+    (al, be), (ga, de) = M
+    a, b, c = f.a, f.b, f.c
+    return QuadForm(a * al * al + b * al * ga + c * ga * ga,
+                    2 * a * al * be + b * (al * de + be * ga) + 2 * c * ga * de,
+                    a * be * be + b * be * de + c * de * de)
+
+
+@st.composite
+def sl2z(draw):
+    """A word in S = [[0, -1], [1, 0]] and T^k = [[1, k], [0, 1]]."""
+    M = [[1, 0], [0, 1]]
+    for k in draw(st.lists(st.integers(-4, 4), max_size=6)):
+        M = matmul(matmul(M, [[1, k], [0, 1]]), [[0, -1], [1, 0]])
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(definite_form(), sl2z())
+def test_form_reduction_is_canonical(f, M):
+    r = f.reduce()
+    assert r.is_reduced() and r.disc == f.disc
+    assert r.reduce() == r
+    moved = act(f, M)
+    assert moved.disc == f.disc
+    assert moved.reduce() == r
+
+
+# ---------------------------------------------------------------------------
+# the remainder map of a field embedding
+
+def embedding_case(ns):
+    return st.tuples(st.sampled_from([3, 5, 7, 11, 13]), ns).filter(
+        lambda pn: pn[1] % pn[0])
+
+
+coeff_arrays = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1,
+                        max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedding_case(st.integers(1, 24)), coeff_arrays, coeff_arrays)
+def test_reduce_is_a_ring_homomorphism(pn, a, b):
+    p, n = pn
+    emb = FieldEmbedding(p, n)
+    g = emb.modulus
+    ra, rb = emb.reduce(a), emb.reduce(b)
+    assert len(ra) == emb.k and all(0 <= c < p for c in ra)
+    total = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    assert emb.reduce(total) == tuple((x + y) % p for x, y in zip(ra, rb))
+    assert emb.reduce(fieldref.poly_mul(a, b)) == fieldref.mul(ra, rb, g, p)
+    # x^n -> 1, and zeta = x has exact order n
+    assert emb.reduce([0] * n + a) == ra
+    assert emb.reduce([1]) == fieldref.element(1, g, p)
+    assert fieldref.order(emb.reduce([0, 1]), g, p) == n
+
+
+# ---------------------------------------------------------------------------
+# the character transform: toric_period and its inverse
+
+@st.composite
+def transform_case(draw):
+    """Invariant factors n_1 | ... | n_d, a prime p prime to the group
+    order, and a random function sigma -> coords[phi[sigma]]."""
+    orders = []
+    for _ in range(draw(st.integers(0, 3))):
+        step = draw(st.integers(2, 5))
+        orders.append(step * (orders[-1] if orders else 1))
+        if math.prod(orders) > 60:
+            orders.pop()
+            break
+    orders = tuple(orders)
+    h = math.prod(orders)
+    p = draw(st.sampled_from([7, 11, 13, 17, 19, 23, 29, 31]))
+    assume(h % p)
+    coords = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=5))
+    sigmas = list(itertools.product(*map(range, orders)))
+    values = draw(st.lists(st.integers(0, len(coords) - 1),
+                           min_size=len(sigmas), max_size=len(sigmas)))
+    return orders, p, coords, dict(zip(sigmas, values)), draw(st.data())
+
+
+@settings(max_examples=60, deadline=None)
+@given(transform_case())
+def test_fourier_round_trip_and_tamper(case):
+    orders, p, coords, phi, data = case
+    emb = FieldEmbedding(p, orders[-1] if orders else 1)
+    f = Eigenform(tuple(coords), {}, (1,) * len(coords))
+    pers = {chi: toric_period(f, phi, chi, emb)
+            for chi in character_group(orders)}
+    pipe = PeriodPipeline.__new__(PeriodPipeline)
+    pipe.f = f
+    pipe._fourier_check(pers, phi, emb)
+    chi = data.draw(st.sampled_from(sorted(pers, key=lambda c: c.exponents)))
+    delta = data.draw(st.lists(st.integers(0, p - 1), min_size=emb.k,
+                               max_size=emb.k).filter(any))
+    bad = tuple((x + d) % p for x, d in zip(pers[chi].modp, delta))
+    pers[chi] = type(pers[chi])(chi, bad, any(bad))
+    with pytest.raises(ArithmeticError):
+        pipe._fourier_check(pers, phi, emb)
