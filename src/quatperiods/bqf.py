@@ -38,7 +38,8 @@ def _squarefree(n: int) -> bool:
 
 def check_fundamental(D: int) -> None:
     if not is_fundamental(D):
-        raise NonFundamentalDiscriminant(f"{D} is not a fundamental discriminant")
+        raise NonFundamentalDiscriminant(
+            f"{D} is not a fundamental imaginary quadratic discriminant")
 
 
 @dataclass(frozen=True, order=True)

@@ -23,7 +23,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .bqf import check_fundamental, class_group_structure, is_fundamental
+from .bqf import check_fundamental, class_group_structure
 from .cache import (Cache, CacheBusy, get_brandt, get_shimura_set,
                     resolve_cache_dir)
 from .charfield import (
@@ -46,6 +46,7 @@ from .periods import (
     equidist_stats,
     horizontal_scan,
     scan_summary,
+    skip_reason,
 )
 from .quatalg import build_algebra
 
@@ -104,15 +105,15 @@ def make_curve(q: int):
 
 def build_pipeline(args, config, check_d=None) -> PeriodPipeline:
     """The pipeline for the configured q and p. q, p and, through
-    check_d(D), the discriminant are validated before the cache is opened,
-    so a rejected request leaves the cache untouched."""
+    check_d(D, q, p), the discriminant are validated before the cache is
+    opened, so a rejected request leaves the cache untouched."""
     q = setting(args, config, "q", 11)
     p = setting(args, config, "p", 7)
     build_algebra(q)        # a q that is not an odd prime exits 2 first
     curve = make_curve(q)
     check_prime(curve, p)
     if check_d is not None:
-        check_d(setting(args, config, "d"))
+        check_d(setting(args, config, "d"), q, p)
     cache = Cache(resolve_cache_dir(getattr(args, "cache_dir", None), config))
     X = get_shimura_set(cache, q)
     return PeriodPipeline(curve, p, X=X)
@@ -153,7 +154,8 @@ def cmd_eigenform(args, config):
 
 
 def cmd_special_points(args, config):
-    pipe = build_pipeline(args, config, check_d=check_fundamental)
+    pipe = build_pipeline(args, config,
+                          check_d=lambda D, q, p: check_fundamental(D))
     D = setting(args, config, "d")
     cg = class_group_structure(D)
     pm = phi_map(optimal_embedding(pipe.X, D), cg, pipe.X)
@@ -161,19 +163,16 @@ def cmd_special_points(args, config):
           "points": {",".join(map(str, s)): x for s, x in sorted(pm.items())}})
 
 
-def check_row_fundamental(D: int) -> None:
-    """The row's skip message for a non-fundamental D, which needs no
-    pipeline to detect."""
-    if not is_fundamental(D):
-        raise PreconditionError(f"D = {D} skipped: non-fundamental")
+def check_row(D: int, q: int, p: int) -> None:
+    """Reject a D whose row is skipped, with the row's skip reason."""
+    reason = skip_reason(D, q, p)
+    if reason:
+        raise PreconditionError(f"D = {D} skipped: {reason}")
 
 
 def cmd_periods(args, config):
-    pipe = build_pipeline(args, config, check_d=check_row_fundamental)
+    pipe = build_pipeline(args, config, check_d=check_row)
     D = setting(args, config, "d")
-    reason = pipe.skip_reason(D)
-    if reason:
-        raise PreconditionError(f"D = {D} skipped: {reason}")
     row = pipe.row(D)
     emit({"q": pipe.q, "p": pipe.p, "D": D, "h": row.h, "q0": row.q0,
           "ellK": row.ellK, "orbits": row.orbit_count,

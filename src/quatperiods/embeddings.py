@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .bqf import QuadForm, _xgcd, check_fundamental
+from .bqf import QuadForm, check_fundamental
 from .curves import kronecker
-from .linalg import int_det, left_kernel, qf_solutions
+from .linalg import hnf, int_det, qf_solutions
 from .quatalg import Lattice, QuaternionAlgebra, ShimuraSet
 
 
@@ -62,7 +61,8 @@ class TorusEmbedding:
 
 def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
     """All omega in the order with trd = D mod 2, nrd = (t^2 - D)/4, as
-    sorted integer numerators over O.den.
+    sorted integer numerators over O.den: the norm shell of the affine
+    slice trd = t, whose point and direction lattice come from one HNF.
 
     Raises ArithmeticError when the order contains no such element (the
     quadratic order then embeds into a different class's left order)."""
@@ -79,9 +79,14 @@ def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
     if any(x % O.den for x in traces):
         raise ValueError("order has a basis element of non-integral trace")
     traces = [x // O.den for x in traces]
-    # particular solution of sum c_s trd(b_s) = t over the integers
-    c0 = _particular_trace_solution(traces, t)
-    K = _trace_kernel(traces)
+    # the HNF of [trd(b_s) | e_s]: its first row is (g, u) with
+    # u . traces = g, the other three span the kernel of the trace form
+    (g, *u), *K = hnf([[x] + [int(i == r) for i in range(4)]
+                       for r, x in enumerate(traces)])
+    if t % g:
+        raise ArithmeticError("trace slice is empty")
+    c0 = [c * (t // g) for c in u]          # c0 . traces = t
+    K = [k[1:] for k in K]
     G, s = O.int_gram(alg)          # nrd(c . b) = c G c^T / s
 
     def form(u, v):
@@ -109,30 +114,6 @@ def embedding_candidates(O: Lattice, alg: QuaternionAlgebra, D: int):
         raise ArithmeticError("order contains no element with the target "
                               "characteristic polynomial")
     return sorted(out)
-
-
-def _particular_trace_solution(traces, t: int):
-    """Integer c with sum c_s * traces_s = t."""
-    g = gcd(*traces)
-    if t % g:
-        raise ArithmeticError("trace slice is empty")
-    # extended gcd over the 4 coefficients
-    acc = 0
-    acc_coeffs = [0, 0, 0, 0]
-    for idx, x in enumerate(traces):
-        acc, u, v = _xgcd(acc, x)
-        acc_coeffs = [u * c for c in acc_coeffs]
-        acc_coeffs[idx] += v
-    scale = t // g
-    return [c * scale for c in acc_coeffs]
-
-
-def _trace_kernel(traces):
-    """Rank-3 integer kernel of the trace linear form."""
-    k = left_kernel([[x] for x in traces])
-    if len(k) != 3:
-        raise ArithmeticError("trace form kernel has unexpected rank")
-    return k
 
 
 def embedding_search(X: ShimuraSet, D: int):

@@ -86,6 +86,25 @@ class ScanRow:
         return self.reason == ""
 
 
+def skip_reason(D: int, q: int, p: int,
+                class_group=class_group_structure) -> str:
+    """Why the row of D is skipped at (q, p), or "" when it is computed.
+    Needs only the class number, not the Shimura set or the eigenform."""
+    if D >= 0:
+        return "not imaginary"
+    if not is_fundamental(D):
+        return "non-fundamental"
+    if D in (-3, -4):
+        return "excluded field"
+    if D % q == 0:
+        return "ramified"
+    if kronecker(D, q) == 1:
+        return "split"
+    if class_group(D).h % p == 0:
+        return "p|h"
+    return ""
+
+
 def check_prime(curve, p: int) -> None:
     """Reject p unless it is a prime outside excluded_primes(curve), which
     contains 2, 3 and q."""
@@ -120,24 +139,13 @@ class PeriodPipeline:
         return self._last_cg[1]
 
     def skip_reason(self, D: int) -> str:
-        if not is_fundamental(D):
-            return "non-fundamental"
-        if D in (-3, -4):
-            return "excluded field"
-        if D % self.q == 0:
-            return "ramified"
-        if kronecker(D, self.q) == 1:
-            return "split"
-        if self.class_group(D).h % self.p == 0:
-            return "p|h"
-        return ""
+        return skip_reason(D, self.q, self.p, self.class_group)
 
     def periods(self, cg: ClassGroup, phi: dict, emb: FieldEmbedding):
         return {chi: toric_period(self.f, phi, chi, emb)
                 for chi in character_group(cg)}
 
-    def row(self, D: int, eps: float = 0.1, check_embedding: bool = True,
-            check_fourier: bool = True) -> ScanRow:
+    def row(self, D: int, eps: float = 0.1) -> ScanRow:
         reason = self.skip_reason(D)
         log_bound = math.log(abs(D)) ** (1 - eps) if D < -1 else 0.0
         if reason:
@@ -160,16 +168,13 @@ class PeriodPipeline:
                 if not all(inside):
                     raise ArithmeticError(
                         f"non-vanishing set not Galois stable at D={D}")
-        if check_fourier:
-            self._fourier_check(pers, phi, emb)
-        if check_embedding:
-            phi2 = phi_map(optimal_embedding(self.X, D, which=1, found=found),
-                           cg, self.X)
-            pers2 = self.periods(cg, phi2, emb)
-            ell2 = sum(1 for P in pers2.values() if P.vzero)
-            if ell2 != len(xi):
-                raise ArithmeticError(
-                    f"ell_K depends on the embedding at D={D}")
+        self._fourier_check(pers, phi, emb)
+        phi2 = phi_map(optimal_embedding(self.X, D, which=1, found=found),
+                       cg, self.X)
+        ell2 = sum(1 for P in self.periods(cg, phi2, emb).values()
+                   if P.vzero)
+        if ell2 != len(xi):
+            raise ArithmeticError(f"ell_K depends on the embedding at D={D}")
         return ScanRow(D, cg.h, self.q0, len(xi), orbit_count, xi,
                        log_bound)
 
@@ -197,12 +202,9 @@ class PeriodPipeline:
 
 
 def horizontal_scan(pipe: PeriodPipeline, dmax: int, eps: float = 0.1,
-                    dmin: int = 5, **row_kwargs):
+                    dmin: int = 5):
     """Rows for every D with dmin <= |D| <= dmax; skips carry reasons."""
-    rows = []
-    for D in range(-dmin, -dmax - 1, -1):
-        rows.append(pipe.row(D, eps, **row_kwargs))
-    return rows
+    return [pipe.row(D, eps) for D in range(-dmin, -dmax - 1, -1)]
 
 
 def scan_summary(rows) -> dict:

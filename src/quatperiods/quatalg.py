@@ -12,6 +12,12 @@ with the scale den^2, a discriminant is a Bareiss determinant of the
 integer trace form. A quaternion outside a lattice is likewise a tuple of
 integer numerators over a denominator the caller carries. The one rational
 a lattice returns is its reduced norm (`Lattice.norm`).
+
+Ideals are built as the lattice their generators span, one HNF each: a
+2-neighbour of I is xO + 2I for one rank-one x in I/2I, the left order of
+a right ideal L is L conj(L) / nrd(L), and the two-sided ideal of norm q
+is qO plus the radical of the trace form mod q (Kirschmer-Voight, SIAM J.
+Comput. 39 (2010); Pizer, J. Algebra 64 (1980)).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import sympy
 
@@ -210,19 +216,6 @@ class Lattice:
         return r
 
 
-def lattice_intersection(A: Lattice, B: Lattice) -> Lattice:
-    D = lcm(A.den, B.den)
-    ar = [[x * (D // A.den) for x in r] for r in A.rows]
-    br = [[x * (D // B.den) for x in r] for r in B.rows]
-    stacked = ar + [[-x for x in r] for r in br]
-    out = []
-    for k in left_kernel(stacked):
-        u = k[:4]
-        vec = [sum(u[t] * ar[t][c] for t in range(4)) for c in range(4)]
-        out.append(vec)
-    return Lattice.make(out, D)
-
-
 # ---------------------------------------------------------------------------
 # orders
 
@@ -277,14 +270,13 @@ def _saturate_at(O: Lattice, alg: QuaternionAlgebra, r: int):
 
 
 def left_order(L: Lattice, alg: QuaternionAlgebra) -> Lattice:
-    """{x in B : x L is contained in L}."""
-    acc = None
-    for y in L.rows:
-        # L y^-1 = L conj(y) / nrd(y); the denominators of L cancel
-        cand = Lattice.make([alg.mult(x, alg.conj(y)) for x in L.rows],
-                            alg.nrd(y))
-        acc = cand if acc is None else lattice_intersection(acc, cand)
-    return acc
+    """{x in B : x L is contained in L} for L a right ideal of a maximal
+    order: such an L is invertible with inverse conj(L)/nrd(L), so its left
+    order is L conj(L) / nrd(L)."""
+    P = L.product(L.conjugate(), alg)
+    N = L.norm(alg)
+    return Lattice.make([[x * N.denominator for x in r] for r in P.rows],
+                        P.den * N.numerator)
 
 
 def unit_count(O: Lattice, alg: QuaternionAlgebra) -> int:
@@ -327,57 +319,24 @@ def is_isomorphic(I: Lattice, J: Lattice, alg: QuaternionAlgebra) -> bool:
 
 
 def _two_neighbors(I: Lattice, O: Lattice, alg: QuaternionAlgebra):
-    """The three right-O-ideals J with 2I < J-compatible index-4 sublattices.
+    """The three right O-ideals J with 2I < J < I of index 4 in I.
 
-    Works in I/2I (an F_2^4 with a right O-action); stable 2-dimensional
-    subspaces correspond to the 2+1 neighbors.
+    I/2I is M_2(F_2) as a right O-module. Its index-4 submodules are the
+    three {M : im M in l}, one per line l; each has three nonzero elements,
+    all of rank one (nrd divisible by 2 nrd(I)), and each generates it. So
+    J = xO + 2I for x running over the 0/1 combinations of I's rows (bit t
+    of n selects row t) with 2 nrd(I) | nrd(x) that no earlier J contains.
     """
-    basis = [list(r) for r in I.rows]
-    mats = []
-    for y in O.rows:
-        # action on I-coordinates: row s solves c . B = B_s y_int / den(O)
-        Mint = []
-        for r in I.rows:
-            v = alg.mult(r, y)
-            c = None if any(x % O.den for x in v) else \
-                hnf_solve(basis, [x // O.den for x in v])
-            if c is None:
-                raise ArithmeticError("order does not act on I/2I")
-            Mint.append([x % 2 for x in c])
-        mats.append(Mint)
-
-    def mulvec(v, M):
-        return tuple(sum(v[t] * M[t][c] for t in range(4)) % 2
-                     for c in range(4))
-
-    # all 2-dimensional subspaces of F_2^4, as canonical reduced bases
-    vectors = [tuple((n >> t) & 1 for t in range(4)) for n in range(1, 16)]
-    seen = set()
-    subspaces = []
-    for a in vectors:
-        for b in vectors:
-            if a == b:
-                continue
-            span = {(0, 0, 0, 0), a, b,
-                    tuple((x + y) % 2 for x, y in zip(a, b))}
-            key = frozenset(span)
-            if len(span) == 4 and key not in seen:
-                seen.add(key)
-                subspaces.append((a, b))
+    d = I.den * O.den
+    two_I = [[2 * O.den * x for x in r] for r in I.rows]
+    N = 2 * I.norm(alg) * I.den * I.den     # nrd(x) for x over I.den
     out = []
-    for a, b in subspaces:
-        stable = all(mulvec(v, M) in
-                     {(0, 0, 0, 0), a, b,
-                      tuple((x + y) % 2 for x, y in zip(a, b))}
-                     for v in (a, b) for M in mats)
-        if not stable:
+    for n in range(1, 16):
+        x = [sum(I.rows[t][c] for t in range(4) if n >> t & 1)
+             for c in range(4)]
+        if alg.nrd(x) % N or any(J.contains(x, I.den) for J in out):
             continue
-        lift = []
-        for w in (a, b):
-            lift.append([sum(w[t] * I.rows[t][c] for t in range(4))
-                         for c in range(4)])
-        lift += [[2 * x for x in r] for r in I.rows]
-        out.append(Lattice.make(lift, I.den))
+        out.append(Lattice.make([alg.mult(x, y) for y in O.rows] + two_I, d))
     if len(out) != 3:
         raise ArithmeticError(f"expected 3 two-neighbors, found {len(out)}")
     return out
@@ -499,42 +458,21 @@ def eigenform(X: ShimuraSet, curve, p: int, primes=(2, 3, 5, 7, 13)) -> Eigenfor
 # the two-sided ideal of norm q (Atkin-Lehner involution on classes)
 
 def two_sided_ideal(O: Lattice, alg: QuaternionAlgebra) -> Lattice:
-    """The unique two-sided O-ideal P with nrd(P) = q and P^2 = qO."""
+    """The unique two-sided O-ideal P with nrd(P) = q and P^2 = qO.
+
+    P/qO is the radical of the trace form mod q: the c with c T = 0 mod q
+    are the first four coordinates of the left kernel of T over q I_4."""
     q, d2 = alg.q, O.den * O.den
-    T = [[alg.trd(alg.mult(u, v)) // d2 % q for v in O.rows] for u in O.rows]
-    kern = _kernel_mod_p(T, q)
-    rows = []
-    for c in kern:
-        rows.append([sum(c[t] * O.rows[t][col] for t in range(4))
-                     for col in range(4)])
-    rows += [[q * x for x in r] for r in O.rows]
-    P = Lattice.make(rows, O.den)
+    T = [[alg.trd(alg.mult(u, v)) // d2 for v in O.rows] for u in O.rows]
+    qI = [[q * int(r == c) for c in range(4)] for r in range(4)]
+    P = Lattice.make([[sum(k[t] * O.rows[t][col] for t in range(4))
+                       for col in range(4)] for k in left_kernel(T + qI)],
+                     O.den)
     if P.norm(alg) != q:
         raise ArithmeticError("two-sided ideal has wrong norm")
     if P.product(P, alg) != O.scale(q):
         raise ArithmeticError("P^2 != qO")
     return P
-
-
-def _kernel_mod_p(M, p: int):
-    n = len(M)
-    A = [[M[i][j] % p for j in range(n)] + [int(i == j) for j in range(n)]
-         for i in range(n)]
-    # column-reduce the left block to find row combinations vanishing mod p
-    piv_rows = []
-    for col in range(n):
-        piv = next((r for r in range(n) if r not in piv_rows and A[r][col] % p),
-                   None)
-        if piv is None:
-            continue
-        inv = pow(A[piv][col], -1, p)
-        A[piv] = [(x * inv) % p for x in A[piv]]
-        for r in range(n):
-            if r != piv and A[r][col] % p:
-                f = A[r][col]
-                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[piv])]
-        piv_rows.append(piv)
-    return [row[n:] for row in A if not any(x % p for x in row[:n])]
 
 
 def tau_permutation(X: ShimuraSet) -> list:

@@ -2,6 +2,7 @@
 lock discipline, config precedence, exit codes, and byte-identical scan
 output on a warm cache."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,19 @@ def test_shimura_payload_roundtrip(tmp_path):
     # warm load agrees
     Z = get_shimura_set(cache, 11)
     assert Z.classes == X.classes
+
+
+@pytest.mark.parametrize("q,digest", [
+    (11, "133d0ed863a0e59cc9aad24217dfbe91bf14916b3c91281f2252a27af3d7427a"),
+    (37, "ad03231199f776922b3668cc228b521640f842630ab856406772399f7cdb2ecd"),
+    (97, "46fb1ab9fc55e306aea54519b112ba4c6d9b68ef23943a6e9ca113d547529dcb"),
+])
+def test_class_cache_bytes_are_pinned(tmp_path, q, digest):
+    # the class representatives, their order, weights and left orders, as
+    # written on an empty cache
+    get_shimura_set(Cache(str(tmp_path)), q)
+    data = (tmp_path / f"q{q}" / "classes.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_brandt_cache_roundtrip(tmp_path):
@@ -210,14 +224,27 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (["scan", "--dmax", "50", "--p", "5"],
      "p = 5 must be a prime outside [2, 3, 5, 11]"),
     (["periods", "--d", "-28"], "D = -28 skipped: non-fundamental"),
-    (["periods", "--d", "0"], "D = 0 skipped: non-fundamental"),
-    (["special-points", "--d", "-28"], "-28 is not a fundamental discriminant"),
-    (["special-points", "--d", "-44"], "-44 is not a fundamental discriminant"),
-    (["special-points", "--d", "0"], "0 is not a fundamental discriminant"),
-    (["special-points", "--d", "5"], "5 is not a fundamental discriminant"),
-], ids=["periods-p4", "eigenform-p9", "periods-q4", "scan-p5", "periods-d-28", "periods-d0",
+    (["periods", "--d", "0"], "D = 0 skipped: not imaginary"),
+    (["periods", "--d", "5"], "D = 5 skipped: not imaginary"),
+    (["periods", "--d", "-7"], "D = -7 skipped: split"),
+    (["periods", "--d", "-11"], "D = -11 skipped: ramified"),
+    (["periods", "--d", "-3"], "D = -3 skipped: excluded field"),
+    (["periods", "--d", "-71"], "D = -71 skipped: p|h"),
+    (["special-points", "--d", "-28"],
+     "-28 is not a fundamental imaginary quadratic discriminant"),
+    (["special-points", "--d", "-44"],
+     "-44 is not a fundamental imaginary quadratic discriminant"),
+    (["special-points", "--d", "0"],
+     "0 is not a fundamental imaginary quadratic discriminant"),
+    (["special-points", "--d", "5"],
+     "5 is not a fundamental imaginary quadratic discriminant"),
+    (["classgroup", "--d", "5"],
+     "5 is not a fundamental imaginary quadratic discriminant"),
+], ids=["periods-p4", "eigenform-p9", "periods-q4", "scan-p5", "periods-d-28",
+        "periods-d0", "periods-d5", "periods-d-7-split",
+        "periods-d-11-ramified", "periods-d-3-excluded", "periods-d-71-p|h",
         "special-points-d-28", "special-points-d-44", "special-points-d0",
-        "special-points-d5"])
+        "special-points-d5", "classgroup-d5"])
 def test_cli_rejects_input_before_opening_the_cache(tmp_path, capsys,
                                                     monkeypatch, argv, err):
     cache_dir = tmp_path / "cache"

@@ -3,7 +3,6 @@ independent oracle that weighted fiber sizes equal representation numbers of
 the embedding's characteristic polynomial in each left order."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from quatperiods.embeddings import (
     special_ideal,
     special_point,
 )
-from quatperiods.embeddings import _particular_trace_solution, _trace_kernel
 from quatperiods.linalg import qf_solutions
 from quatperiods.quatalg import (
     Lattice,
@@ -36,36 +34,14 @@ X11 = shimura_set(11)
 
 
 def representation_count(L, alg, D):
-    """#{x in L : trd(x) = D mod 2, nrd(x) = (t^2 - D)/4} by enumeration."""
+    """#{x in L : trd(x) = D mod 2, nrd(x) = (t^2 - D)/4}: the norm shell of
+    L in all four coordinates, filtered by trace."""
     t = -D % 2
     n = (t * t - D) // 4
-    traces = [alg.trd(r) // L.den for r in L.rows]
-    c0 = _particular_trace_solution(traces, t)
-    K = _trace_kernel(traces)
-    Gint, scale = L.int_gram(alg)
-    G = [[Fraction(x, scale) for x in r] for r in Gint]
-    G3 = [[sum(K[r][i] * G[i][j] * K[s][j] for i in range(4)
-               for j in range(4)) for s in range(3)] for r in range(3)]
-    lin = [sum(K[r][i] * G[i][j] * c0[j] for i in range(4) for j in range(4))
-           for r in range(3)]
-    yc = [-x for x in fraction_solve(G3, lin)]
-    base = sum(c0[i] * G[i][j] * c0[j] for i in range(4) for j in range(4)) \
-        + sum(lin[r] * yc[r] for r in range(3))
-    return len(qf_solutions(G3, Fraction(n) - base, yc))
-
-
-def fraction_solve(A, b):
-    """x with A x = b, by Gauss-Jordan elimination over the rationals."""
-    n = len(A)
-    M = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col])
-        M[col], M[piv] = M[piv], M[col]
-        M[col] = [x / M[col][col] for x in M[col]]
-        for r in range(n):
-            if r != col:
-                M[r] = [x - M[r][col] * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+    G, scale = L.int_gram(alg)
+    return sum(1 for c in qf_solutions(G, n * scale)
+               if alg.trd([sum(c[k] * L.rows[k][i] for k in range(4))
+                           for i in range(4)]) == t * L.den)
 
 
 def test_embedding_minus_23():

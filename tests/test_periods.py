@@ -134,6 +134,7 @@ def test_pipeline_rejects_p(p):
 def test_skip_reasons():
     assert PIPE.skip_reason(-20) == ""  # 4 * -5? no: -20 = 4*(-5), fundamental
     assert PIPE.skip_reason(-12) == "non-fundamental"
+    assert PIPE.skip_reason(5) == PIPE.skip_reason(0) == "not imaginary"
     assert PIPE.skip_reason(-3) == "excluded field"
     assert PIPE.skip_reason(-11) == "ramified"
     assert PIPE.skip_reason(-7) == "split"

@@ -4,16 +4,19 @@ against a Fraction reference, the Bareiss determinant and LDL against
 their definitions, Hermite and Smith forms against their defining
 properties, and class groups against their discrete logarithm. Also:
 reduction of binary quadratic forms, the remainder map Z[x] -> F_{p^k} of
-a field embedding against the reference arithmetic of fieldref, and the
+a field embedding against the reference arithmetic of fieldref, the
 character transform's round trip on random functions on a finite abelian
-group."""
+group, and the ideals of a maximal order (2-neighbours, left orders, the
+two-sided ideal of norm q) against their defining properties."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,10 @@ from quatperiods.charfield import FieldEmbedding, character_group
 from quatperiods.linalg import (hnf, hnf_solve, int_det, ldl, qf_enumerate,
                                 qf_solutions, snf)
 from quatperiods.periods import PeriodPipeline, toric_period
-from quatperiods.quatalg import Eigenform, Lattice, build_algebra
+from quatperiods.quatalg import (Eigenform, Lattice, _two_neighbors,
+                                 build_algebra, is_order, left_order,
+                                 maximal_order, right_ideal_classes,
+                                 two_sided_ideal)
 
 small = st.integers(-3, 3)
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -374,3 +380,61 @@ def test_fourier_round_trip_and_tamper(case):
     pers[chi] = type(pers[chi])(chi, bad, any(bad))
     with pytest.raises(ArithmeticError):
         pipe._fourier_check(pers, phi, emb)
+
+
+@functools.lru_cache(maxsize=None)
+def shimura_set(q):
+    alg = build_algebra(q)
+    return right_ideal_classes(maximal_order(alg), alg)
+
+
+@st.composite
+def right_ideal(draw):
+    """(X, I): q an odd prime <= 101, I a class representative of the
+    Shimura set X or one of its 2-neighbours."""
+    X = shimura_set(draw(st.sampled_from(list(sympy.primerange(3, 102)))))
+    I = draw(st.sampled_from(X.classes))
+    pick = draw(st.integers(0, 3))
+    return X, I if pick == 0 else _two_neighbors(I, X.order, X.alg)[pick - 1]
+
+
+def contains_products(L, A, B, alg):
+    """Every product of a row of A and a row of B lies in L."""
+    return all(L.contains(alg.mult(u, v), A.den * B.den)
+               for u in A.rows for v in B.rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(right_ideal())
+def test_two_neighbors_are_index_4_right_ideals(case):
+    X, I = case
+    alg, O = X.alg, X.order
+    Js = _two_neighbors(I, O, alg)
+    assert len(set(Js)) == 3
+    for J in Js:
+        assert all(J.contains([2 * x for x in r], I.den) for r in I.rows)
+        assert all(I.contains(r, J.den) for r in J.rows)
+        assert J.norm(alg) == 2 * I.norm(alg)
+        assert contains_products(J, J, O, alg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(right_ideal())
+def test_left_order_is_the_maximal_order_acting_on_the_left(case):
+    # a maximal order inside the true left order equals it
+    X, I = case
+    OL = left_order(I, X.alg)
+    assert is_order(OL, X.alg)
+    assert OL.reduced_discriminant(X.alg) == X.alg.q
+    assert contains_products(I, OL, I, X.alg)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(list(sympy.primerange(3, 102))))
+def test_two_sided_ideal_of_norm_q(q):
+    alg = build_algebra(q)
+    O = maximal_order(alg)
+    P = two_sided_ideal(O, alg)
+    assert contains_products(P, O, P, alg) and contains_products(P, P, O, alg)
+    assert P.norm(alg) == q
+    assert P.product(P, alg) == O.scale(q)

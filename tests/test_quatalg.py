@@ -10,14 +10,12 @@ import sympy
 
 from quatperiods.curves import curve_11a1
 from quatperiods.quatalg import (
-    Lattice,
     build_algebra,
     brandt_matrix,
     eigenform,
     hilbert_symbol,
     is_isomorphic,
     is_order,
-    lattice_intersection,
     left_order,
     maximal_order,
     right_ideal_classes,
@@ -175,16 +173,6 @@ def test_left_order_of_principal_ideal():
     assert unit_count(O, alg) == 4  # +-1, +-i
 
 
-def test_lattice_intersection_basic():
-    A = Lattice.make([[2, 0, 0, 0], [0, 1, 0, 0],
-                      [0, 0, 1, 0], [0, 0, 0, 1]], 1)
-    B = Lattice.make([[1, 0, 0, 0], [0, 3, 0, 0],
-                      [0, 0, 1, 0], [0, 0, 0, 1]], 1)
-    C = lattice_intersection(A, B)
-    assert C.contains((2, 0, 0, 0)) and C.contains((0, 3, 0, 0))
-    assert not C.contains((1, 0, 0, 0)) and not C.contains((0, 1, 0, 0))
-
-
 def test_eigenform_11a1():
     X = shimura_set(11)
     E = curve_11a1()
@@ -212,7 +200,7 @@ def test_eigenform_rejects_wrong_conductor():
 
 
 def test_two_sided_ideal_involution():
-    for q in (11, 17, 23):
+    for q in (11, 17, 23, 37, 97):
         alg = build_algebra(q)
         O = maximal_order(alg)
         P = two_sided_ideal(O, alg)
